@@ -5,7 +5,10 @@
 
 use bench::{all_series, tuning_split, Args};
 use class_core::{ClassConfig, ClassSegmenter};
-use stream_engine::{run_streams, SegmenterOperator};
+use stream_engine::{
+    feed_all, serve, Backpressure, EngineConfig, LatencyHistogram, RingConfig, SegmenterOperator,
+    StreamOptions,
+};
 
 fn main() {
     let args = Args::parse();
@@ -17,26 +20,41 @@ fn main() {
             s
         }
     };
-    let streams: Vec<Vec<f64>> = series.iter().map(|s| s.values.clone()).collect();
-    let lens: Vec<usize> = streams.iter().map(|s| s.len()).collect();
     eprintln!(
         "running {} streams ({} total points) through the ClaSS window operator on {} slots...",
-        streams.len(),
-        lens.iter().sum::<usize>(),
+        series.len(),
+        series.iter().map(|s| s.len()).sum::<usize>(),
         args.threads
     );
+    // One operator instance per stream (Flink operator instantiation per
+    // task), pinned round-robin onto the task slots: i % shards is
+    // balanced by construction, where hashing a handful of ids can leave
+    // a slot idle. Lossless 1024-record rings keep every record in order.
     let window = args.window;
-    let results = run_streams(
-        &streams,
-        |i| {
-            let mut c = ClassConfig::with_window_size(window);
-            c.warmup = Some(window.min(lens[i]));
-            SegmenterOperator::new(ClassSegmenter::new(c))
-        },
-        args.threads,
-        1024,
-    );
-    let mut latency = stream_engine::LatencyHistogram::new();
+    let shards = args.threads.max(1).min(series.len().max(1));
+    let ring = RingConfig::new(1024, Backpressure::Block);
+    let (results, ()) = serve(EngineConfig { shards, ring }, |engine| {
+        let handles: Vec<_> = series
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let mut c = ClassConfig::with_window_size(window);
+                c.warmup = Some(window.min(s.len()));
+                let options = StreamOptions {
+                    ring,
+                    shard: Some(i % shards),
+                    ..StreamOptions::default()
+                };
+                engine.register_with(options, move || {
+                    SegmenterOperator::new(ClassSegmenter::new(c))
+                })
+            })
+            .collect();
+        let slices: Vec<&[f64]> = series.iter().map(|s| s.values.as_slice()).collect();
+        feed_all(handles, &slices)
+            .expect("block-policy rings with live shards accept every record");
+    });
+    let mut latency = LatencyHistogram::new();
     for r in &results {
         latency.merge(&r.latency);
     }

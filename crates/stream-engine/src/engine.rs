@@ -1502,30 +1502,35 @@ mod tests {
 
     #[test]
     fn feed_all_drives_unequal_streams_through_tiny_rings() {
-        let data: Vec<Vec<f64>> = (0..12)
-            .map(|k| (0..(k * 97 % 400)).map(|i| i as f64).collect())
-            .collect();
-        let config = EngineConfig {
-            shards: 3,
-            ring: RingConfig::new(4, Backpressure::Block),
-        };
-        let (results, report) = serve(config, |engine| {
-            let handles: Vec<_> = (0..data.len())
-                .map(|_| engine.register(|| TumblingWindowMean::new(1)))
+        // (streams, shards, ring): the second case puts far more streams
+        // than worker threads behind single-slot rings.
+        for (n_streams, shards, ring) in [(12, 3, 4), (64, 2, 1)] {
+            let data: Vec<Vec<f64>> = (0..n_streams)
+                .map(|k| (0..(k * 97 % 400)).map(|i| i as f64).collect())
                 .collect();
-            let slices: Vec<&[f64]> = data.iter().map(|v| v.as_slice()).collect();
-            feed_all(handles, &slices).expect("feed completes")
-        });
-        assert_eq!(
-            report.total_pushed() as usize,
-            data.iter().map(Vec::len).sum::<usize>()
-        );
-        for (k, r) in results.iter().enumerate() {
-            assert_eq!(r.records_in as usize, data[k].len());
-            assert_eq!(report.pushed[k], r.pushed);
-            // Width-1 windows echo the stream: order fully preserved.
-            let got: Vec<f64> = r.output.iter().map(|rec| rec.value).collect();
-            assert_eq!(got, data[k]);
+            let config = EngineConfig {
+                shards,
+                ring: RingConfig::new(ring, Backpressure::Block),
+            };
+            let (results, report) = serve(config, |engine| {
+                let handles: Vec<_> = (0..data.len())
+                    .map(|_| engine.register(|| TumblingWindowMean::new(1)))
+                    .collect();
+                let slices: Vec<&[f64]> = data.iter().map(|v| v.as_slice()).collect();
+                feed_all(handles, &slices).expect("feed completes")
+            });
+            assert_eq!(results.len(), n_streams);
+            assert_eq!(
+                report.total_pushed() as usize,
+                data.iter().map(Vec::len).sum::<usize>()
+            );
+            for (k, r) in results.iter().enumerate() {
+                assert_eq!(r.records_in as usize, data[k].len());
+                assert_eq!(report.pushed[k], r.pushed);
+                // Width-1 windows echo the stream: order fully preserved.
+                let got: Vec<f64> = r.output.iter().map(|rec| rec.value).collect();
+                assert_eq!(got, data[k]);
+            }
         }
     }
 

@@ -14,7 +14,9 @@
 //!   threads step any number of registered streams as state machines fed
 //!   through fixed-capacity SPSC [`ring`] buffers with per-stream
 //!   [`Backpressure`] policies (block / drop-oldest / error) — Flink
-//!   task slots and bounded network buffers, with no thread per stream,
+//!   task slots and bounded network buffers, with no thread per stream;
+//!   [`feed_all`] drives a batch of in-memory streams through it to
+//!   completion (the §4.4 experiment shape),
 //! * [`ServingStats`] snapshots per-stream and per-shard accounting
 //!   (p50/p99 operator latency, queue depth, backpressure drops) live,
 //!   and [`metrics`] exports those snapshots as Prometheus text
@@ -26,10 +28,6 @@
 //!   runtime ([`ServingEngine::registrar`]) and surfacing each ring's
 //!   backpressure policy as protocol responses (THROTTLE / ACK drop
 //!   counts / typed ERROR),
-//! * [`parallel::run_streams`] runs a batch of in-memory streams to
-//!   completion on the engine (the §4.4 experiment shape),
-//! * a single-threaded [`Pipeline`] composes operator chains for
-//!   in-process use and differential testing against the engine,
 //! * [`SegmenterOperator`] adapts any [`class_core::StreamingSegmenter`]
 //!   into a window operator emitting change point records,
 //! * [`MultivariateSegmenterOperator`] registers a fused multi-channel
@@ -49,8 +47,6 @@ pub mod latency;
 pub mod metrics;
 pub mod net;
 pub mod operator;
-pub mod parallel;
-pub mod pipeline;
 pub mod ring;
 pub mod source;
 
@@ -75,11 +71,8 @@ pub use net::{
     NetStatsHandle, RegisterRequest,
 };
 pub use operator::{
-    FilterOperator, MapOperator, MultivariateSegmenterOperator, Operator, SegmenterOperator,
-    TumblingWindowMean,
+    MapOperator, MultivariateSegmenterOperator, Operator, SegmenterOperator, TumblingWindowMean,
 };
-pub use parallel::{run_streams, StreamJobResult};
-pub use pipeline::{Pipeline, ThroughputReport};
 pub use ring::{Backpressure, OverflowError, PushError, RingConfig};
 pub use source::{
     interleave_channels, MultiChannelReplayIter, MultiChannelReplaySource, ReplayIter, ReplaySource,

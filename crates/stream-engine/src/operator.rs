@@ -53,37 +53,6 @@ impl<I, O, F: FnMut(I) -> O> Operator for MapOperator<I, O, F> {
     }
 }
 
-/// Stateless filtering operator.
-pub struct FilterOperator<T, F: FnMut(&T) -> bool> {
-    f: F,
-    _marker: core::marker::PhantomData<fn(&T)>,
-}
-
-impl<T, F: FnMut(&T) -> bool> FilterOperator<T, F> {
-    /// Wraps a predicate.
-    pub fn new(f: F) -> Self {
-        Self {
-            f,
-            _marker: core::marker::PhantomData,
-        }
-    }
-}
-
-impl<T, F: FnMut(&T) -> bool> Operator for FilterOperator<T, F> {
-    type In = T;
-    type Out = T;
-
-    fn process(&mut self, rec: Record<T>, out: &mut Vec<Record<T>>) {
-        if (self.f)(&rec.value) {
-            out.push(rec);
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "filter"
-    }
-}
-
 /// Tumbling-window mean aggregation (a classic pre-processing operator in
 /// the IoT pipelines of §5; also used by tests as a non-trivial stateful
 /// operator).
@@ -267,15 +236,6 @@ mod tests {
         op.process(Record::new(7, 1.5), &mut out);
         assert_eq!(out, vec![Record::new(7, 3.0)]);
         assert_eq!(op.name(), "map");
-    }
-
-    #[test]
-    fn filter_drops_records() {
-        let mut op = FilterOperator::new(|x: &f64| *x > 0.0);
-        let mut out = Vec::new();
-        op.process(Record::new(0, -1.0), &mut out);
-        op.process(Record::new(1, 2.0), &mut out);
-        assert_eq!(out, vec![Record::new(1, 2.0)]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Backpressure-policy semantics of the serving engine, per policy:
 //!
 //! * `block` is lossless — every record is delivered in order, so a
-//!   ClaSS stream served through the engine scores *exactly* like the
-//!   single-threaded pipeline and the standalone segmenter;
+//!   ClaSS stream served through the engine scores *exactly* like a
+//!   plain operator loop and the standalone segmenter;
 //! * `drop-oldest` accounts for every record — processed + dropped
 //!   equals pushed, and what survives is the freshest suffix-window of
 //!   the feed in order;
@@ -17,9 +17,20 @@ use class_core::{ClassConfig, ClassSegmenter, StreamingSegmenter, WidthSelection
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 use stream_engine::{
-    feed_all, serve, Backpressure, EngineConfig, Operator, OverflowError, Pipeline, PushError,
-    Record, RingConfig, SegmenterOperator, TumblingWindowMean,
+    feed_all, serve, Backpressure, EngineConfig, Operator, OverflowError, PushError, Record,
+    RingConfig, SegmenterOperator, TumblingWindowMean,
 };
+
+/// The single-threaded oracle: a fresh operator stepped over the stream
+/// by a plain loop (timestamps are stream positions), then flushed.
+fn plain_loop<Op: Operator<In = f64>>(mut op: Op, xs: &[f64]) -> Vec<Record<Op::Out>> {
+    let mut out = Vec::new();
+    for (t, &x) in xs.iter().enumerate() {
+        op.process(Record::new(t as u64, x), &mut out);
+    }
+    op.flush(&mut out);
+    out
+}
 
 /// Two-regime stream: sine whose frequency doubles at `cp`.
 fn freq_shift(n: usize, cp: usize, seed: u64) -> Vec<f64> {
@@ -52,10 +63,11 @@ fn block_preserves_every_record_and_scores_equal_the_single_stream_path() {
         standalone.step(x, &mut direct_cps);
     }
 
-    // Single-threaded pipeline.
-    let pipeline = Pipeline::source_type::<f64>()
-        .then(SegmenterOperator::new(ClassSegmenter::new(class_cfg())));
-    let (pipe_records, _) = pipeline.run(xs.iter().copied());
+    // The same operator stepped by a plain loop.
+    let loop_records = plain_loop(
+        SegmenterOperator::new(ClassSegmenter::new(class_cfg())),
+        &xs,
+    );
 
     // The serving engine with a deliberately tiny blocking ring: the
     // producer stalls repeatedly, but no record may be lost or reordered.
@@ -72,9 +84,9 @@ fn block_preserves_every_record_and_scores_equal_the_single_stream_path() {
 
     assert_eq!(r.records_in as usize, xs.len(), "lossless: every record");
     assert_eq!(r.drops, 0);
-    // Full record-level equality with the pipeline: values, emission
+    // Full record-level equality with the plain loop: values, emission
     // timestamps, and flush-emitted records all survive the ring transit.
-    assert_eq!(r.output, pipe_records, "engine == pipeline, exactly");
+    assert_eq!(r.output, loop_records, "engine == plain loop, exactly");
     let engine_cps: Vec<u64> = r
         .output
         .iter()
@@ -181,9 +193,9 @@ proptest! {
 
     /// Arbitrary interleavings: many streams of arbitrary lengths and
     /// values, fed through tiny blocking rings onto 1..4 shards, must
-    /// each reproduce the single-threaded pipeline's output exactly.
+    /// each reproduce a plain operator loop's output exactly.
     #[test]
-    fn interleaved_streams_match_the_pipeline_per_stream(
+    fn interleaved_streams_match_a_plain_loop_per_stream(
         streams in prop::collection::vec(
             prop::collection::vec(-1000.0f64..1000.0, 0..120),
             2..7,
@@ -205,9 +217,7 @@ proptest! {
         });
         prop_assert_eq!(results.len(), streams.len());
         for (k, r) in results.iter().enumerate() {
-            let (want, _) = Pipeline::source_type::<f64>()
-                .then(TumblingWindowMean::new(width))
-                .run(streams[k].iter().copied());
+            let want = plain_loop(TumblingWindowMean::new(width), &streams[k]);
             prop_assert_eq!(r.records_in as usize, streams[k].len());
             prop_assert_eq!(r.drops, 0u64);
             prop_assert_eq!(&r.output, &want);

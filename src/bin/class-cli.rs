@@ -186,56 +186,67 @@ SERVE-STATUS (read a serving engine's stats from either source):
         error, 3 the engine reports quarantined streams.
 ";
 
-fn parse_args() -> CliArgs {
+fn parse_args(rest: &[String]) -> Result<CliArgs, String> {
     let mut args = CliArgs::default();
-    let mut it = std::env::args().skip(1);
+    let mut it = rest.iter();
     while let Some(arg) = it.next() {
-        let mut grab = |name: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("error: {name} requires a value");
-                std::process::exit(2);
-            })
+        let mut grab = |name: &str| -> Result<String, String> {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{name} requires a value"))
         };
         match arg.as_str() {
-            "--input" => args.input = Some(grab("--input")),
-            "--window" => args.window = grab("--window").parse().expect("numeric --window"),
-            "--width" => args.width = Some(grab("--width").parse().expect("numeric --width")),
+            "--input" => args.input = Some(grab("--input")?),
+            "--window" => {
+                args.window = grab("--window")?.parse().map_err(|_| "numeric --window")?
+            }
+            "--width" => {
+                args.width = Some(grab("--width")?.parse().map_err(|_| "numeric --width")?)
+            }
             "--wss" => {
-                args.wss = match grab("--wss").as_str() {
+                args.wss = match grab("--wss")?.as_str() {
                     "suss" => WssMethod::Suss,
                     "fft" => WssMethod::FftDominant,
                     "acf" => WssMethod::Acf,
                     "mwf" => WssMethod::Mwf,
-                    other => {
-                        eprintln!("error: unknown WSS method {other}");
-                        std::process::exit(2);
-                    }
+                    other => return Err(format!("unknown WSS method {other}")),
                 }
             }
-            "--alpha" => args.alpha = grab("--alpha").parse().expect("numeric --alpha"),
-            "--column" => args.column = grab("--column").parse().expect("numeric --column"),
-            "--delimiter" => args.delimiter = grab("--delimiter").chars().next().unwrap_or(','),
-            "--format" => args.format = grab("--format"),
+            "--alpha" => args.alpha = grab("--alpha")?.parse().map_err(|_| "numeric --alpha")?,
+            "--column" => {
+                args.column = grab("--column")?.parse().map_err(|_| "numeric --column")?
+            }
+            "--delimiter" => args.delimiter = grab("--delimiter")?.chars().next().unwrap_or(','),
+            "--format" => args.format = grab("--format")?,
             "--relearn" => args.relearn = true,
             "--jump" => {
-                let j: usize = grab("--jump").parse().expect("numeric --jump");
+                let j: usize = grab("--jump")?.parse().map_err(|_| "numeric --jump")?;
                 if j == 0 {
-                    eprintln!("error: --jump must be at least 1");
-                    std::process::exit(2);
+                    return Err("--jump must be at least 1".into());
                 }
                 args.jump = Some(j);
             }
             "--help" | "-h" => {
-                print!("{USAGE}");
+                // A reader that stops early (`| head`) is not an error.
+                let _ = std::io::stdout().write_all(USAGE.as_bytes());
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("error: unknown argument {other}\n\n{USAGE}");
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown argument {other}")),
         }
     }
-    args
+    Ok(args)
+}
+
+/// Exit status after a failed stdout write: a reader that closed the
+/// pipe early (`| head`, `| true`) ends the run normally; any other write
+/// failure is an error.
+fn write_failure_code(e: &std::io::Error) -> i32 {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        0
+    } else {
+        eprintln!("error: writing output: {e}");
+        1
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -570,13 +581,15 @@ struct FileScore {
 }
 
 impl FileScore {
-    fn print(&self, tsv: bool, stats: &eval::DelayStats, cov: f64) {
+    fn print(&self, tsv: bool, stats: &eval::DelayStats, cov: f64) -> std::io::Result<()> {
+        let mut out = std::io::stdout().lock();
         let delay = stats
             .mean_delay()
             .map(|d| format!("{d:.0}"))
             .unwrap_or_else(|| "-".into());
         if tsv {
-            println!(
+            return writeln!(
+                out,
                 "{}\t{}\t{}\t{}\t{}\t{:.4}\t{:.2}\t{delay}\t{}",
                 self.name,
                 self.points,
@@ -587,27 +600,29 @@ impl FileScore {
                 stats.detection_rate(),
                 self.channels,
             );
-        } else {
-            println!("series: {} ({})", self.name, self.archive);
-            println!(
-                "points: {}, width: {}, channels: {}, true cps: [{}]",
-                self.points,
-                self.width,
-                self.channels,
-                fmt_cps(&self.true_cps)
-            );
-            println!("found cps: [{}]", fmt_cps(&self.found));
-            println!("covering: {cov:.4}");
-            println!(
-                "detection rate: {:.2}, mean delay: {delay}, false alarms: {}",
-                stats.detection_rate(),
-                stats.false_alarms
-            );
-            println!(
-                "throughput: {:.0} pts/s\n",
-                self.records_in as f64 / self.elapsed.as_secs_f64().max(1e-9)
-            );
         }
+        writeln!(out, "series: {} ({})", self.name, self.archive)?;
+        writeln!(
+            out,
+            "points: {}, width: {}, channels: {}, true cps: [{}]",
+            self.points,
+            self.width,
+            self.channels,
+            fmt_cps(&self.true_cps)
+        )?;
+        writeln!(out, "found cps: [{}]", fmt_cps(&self.found))?;
+        writeln!(out, "covering: {cov:.4}")?;
+        writeln!(
+            out,
+            "detection rate: {:.2}, mean delay: {delay}, false alarms: {}",
+            stats.detection_rate(),
+            stats.false_alarms
+        )?;
+        writeln!(
+            out,
+            "throughput: {:.0} pts/s\n",
+            self.records_in as f64 / self.elapsed.as_secs_f64().max(1e-9)
+        )
     }
 }
 
@@ -661,12 +676,12 @@ fn run_univariate_file(
     archive: &str,
     metrics: Option<&stream_engine::MetricsServer>,
     tally: &mut RunTally,
-) -> i32 {
+) -> std::io::Result<i32> {
     let series = match datasets::load_series_file(path, archive) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     replay_univariate_series(args, series, metrics, tally)
@@ -682,22 +697,22 @@ fn run_extracted_channels(
     archive: &str,
     metrics: Option<&stream_engine::MetricsServer>,
     tally: &mut RunTally,
-) -> i32 {
+) -> std::io::Result<i32> {
     let series = match datasets::load_multivariate_file(path, archive) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     let mut code = 0;
     for channel in series.extract_channels() {
-        code = replay_univariate_series(args, channel, metrics, tally);
+        code = replay_univariate_series(args, channel, metrics, tally)?;
         if code != 0 {
             break;
         }
     }
-    code
+    Ok(code)
 }
 
 /// The shared engine replay for one univariate series (file-loaded or
@@ -707,7 +722,7 @@ fn replay_univariate_series(
     series: datasets::AnnotatedSeries,
     metrics: Option<&stream_engine::MetricsServer>,
     tally: &mut RunTally,
-) -> i32 {
+) -> std::io::Result<i32> {
     let mut cfg =
         ClassConfig::with_window_size(args.window.unwrap_or_else(|| series.len().min(10_000)));
     cfg.width = WidthSelection::Fixed(args.width.unwrap_or(series.width));
@@ -749,7 +764,7 @@ fn replay_univariate_series(
     let result = results.remove(0);
     if let Err(e) = fed {
         eprintln!("error: {}: ingest failed: {e}", series.name);
-        return 1;
+        return Ok(1);
     }
     let (found, cov, stats) = score_records(
         &result.output,
@@ -772,7 +787,7 @@ fn replay_univariate_series(
         records_in: result.records_in,
         elapsed,
     }
-    .print(args.tsv, &stats, cov);
+    .print(args.tsv, &stats, cov)?;
     if let Some((cause, at_record)) = result.quarantine() {
         eprintln!(
             "quarantined: {} at record {at_record}: {cause} \
@@ -780,9 +795,9 @@ fn replay_univariate_series(
             series.name, result.records_in, result.quarantined_after
         );
         tally.quarantined += 1;
-        return EXIT_QUARANTINED;
+        return Ok(EXIT_QUARANTINED);
     }
-    0
+    Ok(0)
 }
 
 /// Replays one multi-channel archive file (WFDB record or wide-CSV) as a
@@ -795,14 +810,14 @@ fn run_multivariate_file(
     archive: &str,
     metrics: Option<&stream_engine::MetricsServer>,
     tally: &mut RunTally,
-) -> i32 {
+) -> std::io::Result<i32> {
     use class_core::{ChannelSelection, FusionStrategy, MultivariateClass, MultivariateConfig};
 
     let series = match datasets::load_multivariate_file(path, archive) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     let n = series.len();
@@ -825,7 +840,7 @@ fn run_multivariate_file(
         FusionChoice::Votes(k) => {
             if k > n_channels {
                 eprintln!("error: --fusion {k} exceeds the file's {n_channels} channels");
-                return 2;
+                return Ok(2);
             }
             cfg.fusion = FusionStrategy::Quorum {
                 min_votes: k,
@@ -836,7 +851,7 @@ fn run_multivariate_file(
     if let Some(k) = args.channels {
         if k > n_channels {
             eprintln!("error: --channels {k} exceeds the file's {n_channels} channels");
-            return 2;
+            return Ok(2);
         }
         if k < n_channels {
             // Probe for half a window, floored at 64 frames but never
@@ -854,7 +869,7 @@ fn run_multivariate_file(
                     eprintln!(
                         "error: --fusion {v} can never be satisfied by the --channels {k} selection"
                     );
-                    return 2;
+                    return Ok(2);
                 }
                 FusionChoice::Quorum => {
                     cfg.fusion = FusionStrategy::Quorum {
@@ -905,7 +920,7 @@ fn run_multivariate_file(
     let result = results.remove(0);
     if let Err(e) = fed {
         eprintln!("error: {}: ingest failed: {e}", series.name);
-        return 1;
+        return Ok(1);
     }
     let (found, cov, stats) = score_records(&result.output, &series.change_points, n, series.width);
     tally.files += 1;
@@ -925,7 +940,7 @@ fn run_multivariate_file(
         records_in: result.records_in / n_channels as u64,
         elapsed,
     }
-    .print(args.tsv, &stats, cov);
+    .print(args.tsv, &stats, cov)?;
     if let Some((cause, at_record)) = result.quarantine() {
         eprintln!(
             "quarantined: {} at frame {}: {cause}",
@@ -933,9 +948,61 @@ fn run_multivariate_file(
             at_record / n_channels as u64
         );
         tally.quarantined += 1;
-        return EXIT_QUARANTINED;
+        return Ok(EXIT_QUARANTINED);
     }
-    0
+    Ok(0)
+}
+
+/// Scores every file of a `datasets run` in order, stopping at the first
+/// non-zero exit status. Only stdout write failures are returned.
+fn score_files(
+    args: &DatasetsRunArgs,
+    metrics: Option<&stream_engine::MetricsServer>,
+    tally: &mut RunTally,
+) -> std::io::Result<i32> {
+    if args.tsv {
+        writeln!(
+            std::io::stdout().lock(),
+            "series\tpoints\twidth\ttrue_cps\tfound_cps\tcovering\tdetection_rate\tmean_delay\tchannels"
+        )?;
+    }
+    for file in &args.files {
+        let path = std::path::Path::new(file);
+        let archive = path
+            .parent()
+            .and_then(|p| p.file_name())
+            .and_then(|n| n.to_str())
+            .unwrap_or("archive");
+        let kind = match datasets::classify_series_file(path) {
+            Ok(Some(kind)) => kind,
+            Ok(None) => {
+                eprintln!(
+                    "error: {}: not a loadable series file (expected .txt, .csv, .hea or .edf)",
+                    path.display()
+                );
+                return Ok(1);
+            }
+            Err(e) => {
+                eprintln!("error: {}: {e}", path.display());
+                return Ok(1);
+            }
+        };
+        let code = match kind {
+            datasets::SeriesKind::Univariate => {
+                run_univariate_file(args, path, archive, metrics, tally)
+            }
+            datasets::SeriesKind::Multivariate if args.extract_channels => {
+                run_extracted_channels(args, path, archive, metrics, tally)
+            }
+            datasets::SeriesKind::Multivariate => {
+                run_multivariate_file(args, path, archive, metrics, tally)
+            }
+        }?;
+        if code != 0 {
+            return Ok(code);
+        }
+    }
+    Ok(0)
 }
 
 fn datasets_run(rest: &[String]) -> i32 {
@@ -946,11 +1013,6 @@ fn datasets_run(rest: &[String]) -> i32 {
             return 2;
         }
     };
-    if args.tsv {
-        println!(
-            "series\tpoints\twidth\ttrue_cps\tfound_cps\tcovering\tdetection_rate\tmean_delay\tchannels"
-        );
-    }
     let metrics = match &args.metrics_addr {
         Some(addr) => match stream_engine::MetricsServer::bind(addr) {
             Ok(server) => {
@@ -966,45 +1028,8 @@ fn datasets_run(rest: &[String]) -> i32 {
     };
     let started = std::time::Instant::now();
     let mut tally = RunTally::default();
-    let mut code = 0;
-    for file in &args.files {
-        let path = std::path::Path::new(file);
-        let archive = path
-            .parent()
-            .and_then(|p| p.file_name())
-            .and_then(|n| n.to_str())
-            .unwrap_or("archive");
-        let kind = match datasets::classify_series_file(path) {
-            Ok(Some(kind)) => kind,
-            Ok(None) => {
-                eprintln!(
-                    "error: {}: not a loadable series file (expected .txt, .csv, .hea or .edf)",
-                    path.display()
-                );
-                code = 1;
-                break;
-            }
-            Err(e) => {
-                eprintln!("error: {}: {e}", path.display());
-                code = 1;
-                break;
-            }
-        };
-        code = match kind {
-            datasets::SeriesKind::Univariate => {
-                run_univariate_file(&args, path, archive, metrics.as_ref(), &mut tally)
-            }
-            datasets::SeriesKind::Multivariate if args.extract_channels => {
-                run_extracted_channels(&args, path, archive, metrics.as_ref(), &mut tally)
-            }
-            datasets::SeriesKind::Multivariate => {
-                run_multivariate_file(&args, path, archive, metrics.as_ref(), &mut tally)
-            }
-        };
-        if code != 0 {
-            break;
-        }
-    }
+    let mut code =
+        score_files(&args, metrics.as_ref(), &mut tally).unwrap_or_else(|e| write_failure_code(&e));
     // The bundle records whatever was processed, even on a quarantine
     // or error exit — a partial run is still evidence worth diffing.
     if let Some(path) = &args.bundle_out {
@@ -1656,7 +1681,29 @@ fn main() {
     if raw.first().map(String::as_str) == Some("feed") {
         std::process::exit(feed_cmd(&raw[1..]));
     }
-    let args = parse_args();
+    let args = match parse_args(&raw) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("error: {e}\n\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
+    let reader: Box<dyn Read> = match &args.input {
+        Some(path) => Box::new(std::fs::File::open(path).unwrap_or_else(|e| {
+            eprintln!("error: cannot open {path}: {e}");
+            std::process::exit(1);
+        })),
+        None => Box::new(std::io::stdin()),
+    };
+    if let Err(e) = segment_feed(&args, BufReader::new(reader), &mut std::io::stdout().lock()) {
+        std::process::exit(write_failure_code(&e));
+    }
+}
+
+/// Segments one observation per line of `reader`, writing change points
+/// to `out` as they are detected. Only write failures are returned; a
+/// read failure exits with status 1.
+fn segment_feed(args: &CliArgs, reader: impl BufRead, out: &mut impl Write) -> std::io::Result<()> {
     let mut cfg = ClassConfig::with_window_size(args.window);
     cfg.width = match args.width {
         Some(w) => WidthSelection::Fixed(w),
@@ -1669,20 +1716,9 @@ fn main() {
     }
     let mut class = ClassSegmenter::new(cfg);
 
-    let reader: Box<dyn Read> = match &args.input {
-        Some(path) => Box::new(std::fs::File::open(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot open {path}: {e}");
-            std::process::exit(1);
-        })),
-        None => Box::new(std::io::stdin()),
-    };
-    let reader = BufReader::new(reader);
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-
     let tsv = args.format == "tsv";
     if tsv {
-        writeln!(out, "detected_at\tchange_point").unwrap();
+        writeln!(out, "detected_at\tchange_point")?;
     }
     let mut cps = Vec::new();
     let mut t: u64 = 0;
@@ -1704,9 +1740,9 @@ fn main() {
         class.step(x, &mut cps);
         for &cp in &cps[before..] {
             if tsv {
-                writeln!(out, "{t}\t{cp}").unwrap();
+                writeln!(out, "{t}\t{cp}")?;
             } else {
-                writeln!(out, "t={t}: change point at {cp}").unwrap();
+                writeln!(out, "t={t}: change point at {cp}")?;
             }
         }
         t += 1;
@@ -1715,9 +1751,9 @@ fn main() {
     class.finalize(&mut cps);
     for &cp in &cps[before..] {
         if tsv {
-            writeln!(out, "{t}\t{cp}").unwrap();
+            writeln!(out, "{t}\t{cp}")?;
         } else {
-            writeln!(out, "end-of-stream: change point at {cp}").unwrap();
+            writeln!(out, "end-of-stream: change point at {cp}")?;
         }
     }
     if !tsv {
@@ -1726,7 +1762,7 @@ fn main() {
             "processed {t} observations ({skipped} skipped), {} change points, width {:?}",
             cps.len(),
             class.width()
-        )
-        .unwrap();
+        )?;
     }
+    out.flush()
 }

@@ -210,6 +210,41 @@ fn help_exits_cleanly_and_unknown_flags_do_not() {
     assert!(stderr.contains("unknown argument"));
 }
 
+#[test]
+fn non_numeric_flag_values_are_usage_errors() {
+    for flag in ["--window", "--width", "--alpha", "--column", "--jump"] {
+        let (_, stderr, code) = run_cli(&[flag, "abc"], "1\n");
+        assert_eq!(code, 2, "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("numeric {flag}")),
+            "{flag}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+    }
+}
+
+#[test]
+fn closed_stdout_ends_the_run_cleanly() {
+    let mut child = Command::new(CLI)
+        .args(["--window", "1000", "--width", "20"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn class-cli");
+    // The reader goes away before the CLI has read any input, so its
+    // first output line must hit the closed pipe.
+    drop(child.stdout.take());
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    // The CLI may exit before reading all of it; a failed write is fine.
+    let _ = stdin.write_all(two_regime_input().as_bytes());
+    drop(stdin);
+    let out = child.wait_with_output().expect("wait for class-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 fn fixture(rel: &str) -> String {
     datasets::fixtures_dir().join(rel).display().to_string()
 }

@@ -7,7 +7,7 @@ use class_core::{ClassConfig, ClassSegmenter, StreamingSegmenter};
 use competitors::CompetitorKind;
 use datasets::{build_series, Archive, GenConfig, NoiseSpec, Regime};
 use eval::{covering, run_matrix, AlgoSpec};
-use stream_engine::{run_streams, SegmenterOperator};
+use stream_engine::{feed_all, serve, EngineConfig, SegmenterOperator};
 
 fn two_regime_series(seed: u64) -> datasets::AnnotatedSeries {
     build_series(
@@ -88,13 +88,10 @@ fn standalone_and_stream_engine_agree() {
     let mut standalone = ClassSegmenter::new(mk_cfg());
     let direct_cps = standalone.segment_series(&series.values);
     // Through the stream engine.
-    let streams = vec![series.values.clone()];
-    let results = run_streams(
-        &streams,
-        |_| SegmenterOperator::new(ClassSegmenter::new(mk_cfg())),
-        2,
-        256,
-    );
+    let (results, ()) = serve(EngineConfig::new(1), |engine| {
+        let handle = engine.register(|| SegmenterOperator::new(ClassSegmenter::new(mk_cfg())));
+        feed_all(vec![handle], &[series.values.as_slice()]).expect("feed completes");
+    });
     let mut engine_cps: Vec<u64> = results[0].output.iter().map(|r| r.value).collect();
     engine_cps.sort_unstable();
     engine_cps.dedup();
