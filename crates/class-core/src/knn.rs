@@ -7,12 +7,22 @@
 //!    every other subsequence in the window in O(d) total, by maintaining
 //!    the (w-1)-length dot products of the previous step (Eq. 3-5, the
 //!    STOMP recurrence adapted to streaming),
-//! 2. selects the k nearest neighbours of the newest subsequence with a
-//!    single bounded-insertion pass over the scores (O(d + i·k) where `i`
-//!    is the number of top-k improvements), honouring a trivial-match
-//!    exclusion radius of 1.5·w, and
-//! 3. updates the stored neighbour lists of all older subsequences for which
-//!    the newest subsequence is a closer neighbour than their current k-th.
+//! 2. selects the k nearest neighbours of the newest subsequence, honouring
+//!    a trivial-match exclusion radius of 1.5·w, by a bounded insertion
+//!    over *candidate* slots only: [`simd::first_above`] skips, a vector of
+//!    lanes at a time, every score that cannot beat the current k-th
+//!    (O(d / lanes + i·k) where `i` is the number of top-k improvements),
+//!    and
+//! 3. inserts the newest subsequence into the stored neighbour lists of all
+//!    older subsequences for which it is closer than their current k-th.
+//!    The k-th scores live in a contiguous threshold column beside the
+//!    lists, so [`simd::first_entering`] finds the few rows that change by
+//!    comparing two contiguous columns instead of reading every list. A
+//!    row whose list is not full yet holds NaN there, and any non-NaN
+//!    score enters such a row, so the scan needs no length column. NaN is
+//!    the one value a real k-th score never takes (NaN scores are never
+//!    stored), whereas `-inf` is a legal stored score: a short list admits
+//!    a `-inf` neighbour, but a full list whose k-th is `-inf` must not.
 //!
 //! Neighbour identities are stored as *absolute* subsequence ids (the
 //! position of the subsequence start in the stream). This avoids the O(k·d)
@@ -170,6 +180,10 @@ pub struct StreamingKnn {
     nn_score: ShiftMatrix<f64>,
     /// Number of valid neighbours per row.
     nn_len: ShiftBuffer<u8>,
+    /// Per row: the k-th neighbour's score when the list is full, NaN
+    /// otherwise. A contiguous copy of the insertion threshold, so the
+    /// insertion scan reads one column instead of every row of `nn_score`.
+    kth: ShiftBuffer<f64>,
     /// Absolute id (stream start position) of the next subsequence.
     next_sid: i64,
     /// Remaining pushes until the most recent non-finite observation has
@@ -201,6 +215,7 @@ impl Clone for StreamingKnn {
             nn_sid: self.nn_sid.clone(),
             nn_score: self.nn_score.clone(),
             nn_len: self.nn_len.clone(),
+            kth: self.kth.clone(),
             next_sid: self.next_sid,
             nan_heal: self.nan_heal,
         }
@@ -233,6 +248,7 @@ impl StreamingKnn {
             nn_sid: ShiftMatrix::new(m_max, k),
             nn_score: ShiftMatrix::new(m_max, k),
             nn_len: ShiftBuffer::new(m_max),
+            kth: ShiftBuffer::new(m_max),
             next_sid: 0,
             nan_heal: 0,
             cfg,
@@ -464,12 +480,13 @@ impl StreamingKnn {
             }
         }
 
-        // --- k-NN selection for the newest subsequence: one bounded
-        // insertion pass over the scores. Semantics match the former
-        // k-sequential-scan selection exactly: candidates are ranked by
-        // descending score, ties broken towards the older slot, and
-        // NaN / -inf scores are never selected (a NaN in the window must
-        // shorten the list rather than fabricate neighbours). ---
+        // --- k-NN selection for the newest subsequence: a bounded
+        // insertion over the candidate slots only. A slot is a candidate
+        // iff its score beats `thr`, which is -inf (so NaN and -inf are
+        // never selected: a NaN in the window must shorten the list rather
+        // than fabricate neighbours) until `kk` neighbours are chosen and
+        // the current k-th score after that. Candidates arrive in slot
+        // order, so ties still go to the older slot. ---
         let k = self.cfg.k;
         let elig_end = self.m_max - self.excl; // exclusive slot bound
         let n_elig = elig_end.saturating_sub(qstart);
@@ -477,16 +494,11 @@ impl StreamingKnn {
         let mut row_sid = [i64::MIN; MAX_K];
         let mut row_score = [f64::NEG_INFINITY; MAX_K];
         let mut n_chosen = 0usize;
-        for s in qstart..elig_end {
-            let sc = self.scores[s];
-            // NaN and -inf are never selectable, mirroring the old argmax
-            // that never advanced past its -inf initialisation.
-            if sc.is_nan() || sc == f64::NEG_INFINITY {
-                continue;
-            }
-            if n_chosen == kk && sc <= row_score[kk - 1] {
-                continue;
-            }
+        let mut thr = f64::NEG_INFINITY;
+        let elig = &self.scores[..elig_end];
+        let mut s = simd::first_above(elig, qstart, thr);
+        while s < elig.len() {
+            let sc = elig[s];
             let mut pos = n_chosen;
             while pos > 0 && row_score[pos - 1] < sc {
                 pos -= 1;
@@ -501,10 +513,19 @@ impl StreamingKnn {
             if n_chosen < kk {
                 n_chosen += 1;
             }
+            if n_chosen == kk {
+                thr = row_score[kk - 1];
+            }
+            s = simd::first_above(elig, s + 1, thr);
         }
         self.nn_sid.push_row(&row_sid[..k]);
         self.nn_score.push_row(&row_score[..k]);
         self.nn_len.push(n_chosen as u8);
+        self.kth.push(if n_chosen == k {
+            row_score[k - 1]
+        } else {
+            f64::NAN
+        });
         // Journal: row creation precedes its initial edges, so a replaying
         // consumer resets the row's slot before applying them.
         self.push_event(KnnEvent::RowCreated { sid });
@@ -524,18 +545,22 @@ impl StreamingKnn {
             // 0 .. n_subs - excl (matching the eligibility of the initial
             // selection above).
             let upto = n_subs.saturating_sub(self.excl);
-            for r in 0..upto {
+            let mut r = 0;
+            loop {
+                // Candidates: non-NaN scores (a NaN neighbour entry would
+                // break the lists' sortedness) above the row's k-th score,
+                // or any non-NaN score if the row's list is not full.
+                r = simd::first_entering(
+                    &self.scores[qstart..qstart + upto],
+                    &self.kth.as_slice()[..upto],
+                    r,
+                );
+                if r == upto {
+                    break;
+                }
                 let s = qstart + r;
                 let sc = self.scores[s];
-                if sc.is_nan() {
-                    // A NaN in the window poisons the recursion's scores; a
-                    // NaN neighbour entry would break the lists' sortedness.
-                    continue;
-                }
                 let len = self.nn_len.get(r) as usize;
-                if len == k && sc <= self.nn_score.row(r)[k - 1] {
-                    continue;
-                }
                 // Insertion position by descending score.
                 let mut pos = 0;
                 {
@@ -564,6 +589,9 @@ impl StreamingKnn {
                 if len < k {
                     self.nn_len.as_mut_slice()[r] += 1;
                 }
+                if len + 1 >= k {
+                    self.kth.as_mut_slice()[r] = self.nn_score.row(r)[k - 1];
+                }
                 let owner = self.sid_of_slot(s);
                 match evicted {
                     Some(evicted) => self.push_event(KnnEvent::EdgeReplaced {
@@ -573,6 +601,7 @@ impl StreamingKnn {
                     }),
                     None => self.push_event(KnnEvent::EdgeAdded { owner, target: sid }),
                 }
+                r += 1;
             }
         }
         true
@@ -948,6 +977,72 @@ mod tests {
                     "t={t} slot={slot}: {got} vs {want}"
                 );
             }
+        }
+    }
+
+    /// Asserts the threshold-column invariant on every live row: the k-th
+    /// neighbour's score (bit-for-bit) when the list is full, NaN otherwise.
+    fn assert_kth_column(knn: &StreamingKnn, t: usize) {
+        let k = knn.config().k;
+        let qs = knn.qstart();
+        assert_eq!(knn.kth.len(), knn.n_subsequences(), "t={t}: column length");
+        for slot in qs..knn.max_subsequences() {
+            let (_, scores) = knn.neighbors(slot);
+            let got = knn.kth.get(slot - qs);
+            if scores.len() == k {
+                assert_eq!(
+                    got.to_bits(),
+                    scores[k - 1].to_bits(),
+                    "t={t} slot={slot}: threshold {got} vs k-th score {}",
+                    scores[k - 1]
+                );
+            } else {
+                assert!(
+                    got.is_nan(),
+                    "t={t} slot={slot}: short list, threshold {got}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_column_tracks_kth_neighbour_pearson_nan_burst() {
+        // A NaN burst shortens lists while the window is dirty; once it is
+        // evicted, healing refills them. The column must follow throughout.
+        let (d, w) = (90, 7);
+        let mut series = random_series(420, 14);
+        for x in &mut series[150..156] {
+            *x = f64::NAN;
+        }
+        let mut knn = StreamingKnn::new(KnnConfig::new(d, w, 3));
+        let mut saw_short = false;
+        for (t, &x) in series.iter().enumerate() {
+            knn.update(x);
+            assert_kth_column(&knn, t);
+            if knn.n_subsequences() > 0 {
+                let newest = knn.max_subsequences() - 1;
+                saw_short |= t > 150 && knn.neighbors(newest).0.len() < 3;
+            }
+        }
+        assert!(saw_short, "the NaN burst never shortened a list");
+        let (sids, _) = knn.neighbors(knn.max_subsequences() - 1);
+        assert_eq!(sids.len(), 3, "lists not refilled after healing");
+    }
+
+    #[test]
+    fn threshold_column_tracks_kth_neighbour_euclidean_k1() {
+        let cfg = KnnConfig {
+            window_size: 80,
+            width: 6,
+            k: 1,
+            similarity: Similarity::Euclidean,
+            exclusion: None,
+            update_existing: true,
+        };
+        let mut knn = StreamingKnn::new(cfg);
+        for (t, &x) in random_series(300, 15).iter().enumerate() {
+            knn.update(x);
+            assert_kth_column(&knn, t);
         }
     }
 

@@ -4,8 +4,10 @@
 //! loops over contiguous slices (see `cargo bench -p bench --bench
 //! core_speedups` and ROADMAP.md): the Q-recursion + scoring sweep of
 //! [`crate::knn::StreamingKnn::update`], the subsequence-moment sums, and
-//! the explicit dot products that seed the recursion. This module provides
-//! fused kernels for all of them in three layers that share one semantics:
+//! the explicit dot products that seed the recursion. It also provides the
+//! two next-candidate searches that let the neighbour-list maintenance
+//! after the sweep visit only the slots that can change a list. Every
+//! kernel comes in three layers that share one semantics:
 //!
 //! * [`scalar`] — the plain-Rust reference implementation and the single
 //!   source of truth: every other backend must produce the same values
@@ -19,8 +21,9 @@
 //!   portable fallback.
 //!
 //! The free functions at the top level ([`dot`], [`sum_sumsq`],
-//! [`diff_sumsq`], [`qstep_pearson`], [`qstep_euclidean`], [`qstep_cid`])
-//! dispatch to the best available backend, resolved once per process.
+//! [`diff_sumsq`], [`qstep_pearson`], [`qstep_euclidean`], [`qstep_cid`],
+//! [`first_above`], [`first_entering`]) dispatch to the best available
+//! backend, resolved once per process.
 //! The `CLASS_SIMD` environment variable (`scalar` | `autovec` | `avx2`)
 //! overrides the choice for A/B measurements; an unavailable request
 //! falls back to [`Backend::Autovec`].
@@ -229,6 +232,49 @@ pub fn qstep_cid(io: QStepIo<'_>, ssq: &[f64], ce2: &[f64], ssq_n: f64, ce2_n: f
     }
 }
 
+/// Index of the first `i >= from` with `xs[i] > thr`, or `xs.len()` if
+/// there is none (also when `from >= xs.len()`). NaN scores and a NaN
+/// threshold never compare above, so a `-inf` threshold passes exactly
+/// the finite and `+inf` scores. The search only compares, so every
+/// backend returns the same index.
+#[inline]
+pub fn first_above(xs: &[f64], from: usize, thr: f64) -> usize {
+    match active_backend() {
+        Backend::Scalar => scalar::first_above(xs, from, thr),
+        Backend::Autovec => autovec::first_above(xs, from, thr),
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => avx2::first_above(xs, from, thr),
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 => autovec::first_above(xs, from, thr),
+    }
+}
+
+/// Index of the first `i >= from` whose score would enter a neighbour list
+/// with k-th score `thr_col[i]`: `scores[i]` is not NaN and either
+/// `scores[i] > thr_col[i]` or `thr_col[i]` is NaN. A NaN entry in
+/// `thr_col` marks a list that is not full yet, which every non-NaN score
+/// enters. Returns `scores.len()` if there is no such index (also when
+/// `from >= scores.len()`). Every backend returns the same index.
+///
+/// # Panics
+/// Panics if `scores` and `thr_col` differ in length.
+#[inline]
+pub fn first_entering(scores: &[f64], thr_col: &[f64], from: usize) -> usize {
+    assert_eq!(
+        scores.len(),
+        thr_col.len(),
+        "first_entering operand length mismatch"
+    );
+    match active_backend() {
+        Backend::Scalar => scalar::first_entering(scores, thr_col, from),
+        Backend::Autovec => autovec::first_entering(scores, thr_col, from),
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => avx2::first_entering(scores, thr_col, from),
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 => autovec::first_entering(scores, thr_col, from),
+    }
+}
+
 /// Plain-Rust reference kernels — the single source of truth for the
 /// semantics (including NaN propagation) of every other backend.
 pub mod scalar {
@@ -314,6 +360,26 @@ pub mod scalar {
             scores[i] = -sq_cid_from_dot(dot, ssq[i], ssq_n, ce2[i], ce2_n);
             q[i] = dot - head[i] * first;
         }
+    }
+
+    /// Whether `sc` enters a list whose k-th score is `kth` (NaN = not
+    /// full): the rule [`super::first_entering`] searches for.
+    #[inline(always)]
+    pub(super) fn enters(sc: f64, kth: f64) -> bool {
+        !sc.is_nan() && (kth.is_nan() || sc > kth)
+    }
+
+    /// First `i >= from` with `xs[i] > thr`, or `xs.len()`.
+    pub fn first_above(xs: &[f64], from: usize, thr: f64) -> usize {
+        (from..xs.len()).find(|&i| xs[i] > thr).unwrap_or(xs.len())
+    }
+
+    /// First `i >= from` whose score enters its list, or `scores.len()`.
+    pub fn first_entering(scores: &[f64], thr_col: &[f64], from: usize) -> usize {
+        debug_assert_eq!(scores.len(), thr_col.len());
+        (from..scores.len())
+            .find(|&i| enters(scores[i], thr_col[i]))
+            .unwrap_or(scores.len())
     }
 }
 
@@ -562,6 +628,42 @@ pub mod autovec {
             ssq_n,
             ce2_n,
         );
+    }
+
+    /// First `i >= from` with `xs[i] > thr`: tests whole 4-lane blocks
+    /// branch-free and locates the lane only in a block that has a hit.
+    pub fn first_above(xs: &[f64], from: usize, thr: f64) -> usize {
+        let n = xs.len();
+        let mut i = from.min(n);
+        while i + LANES <= n {
+            let b = &xs[i..i + LANES];
+            if (b[0] > thr) | (b[1] > thr) | (b[2] > thr) | (b[3] > thr) {
+                break;
+            }
+            i += LANES;
+        }
+        scalar::first_above(xs, i, thr)
+    }
+
+    /// First `i >= from` whose score enters its list; block-wise like
+    /// [`first_above`].
+    pub fn first_entering(scores: &[f64], thr_col: &[f64], from: usize) -> usize {
+        debug_assert_eq!(scores.len(), thr_col.len());
+        let n = scores.len();
+        let mut i = from.min(n);
+        while i + LANES <= n {
+            let s = &scores[i..i + LANES];
+            let t = &thr_col[i..i + LANES];
+            let hit = scalar::enters(s[0], t[0])
+                | scalar::enters(s[1], t[1])
+                | scalar::enters(s[2], t[2])
+                | scalar::enters(s[3], t[3]);
+            if hit {
+                break;
+            }
+            i += LANES;
+        }
+        scalar::first_entering(scores, thr_col, i)
     }
 }
 
@@ -888,6 +990,81 @@ pub mod avx2 {
             ssq_n,
             ce2_n,
         );
+    }
+
+    /// First `i >= from` with `xs[i] > thr`; an ordered `>` compare per
+    /// 4-lane block and `movemask` to find the lane.
+    pub fn first_above(xs: &[f64], from: usize, thr: f64) -> usize {
+        assert_available();
+        let from = from.min(xs.len());
+        // SAFETY: AVX2 is available (asserted above) and `from <= xs.len()`,
+        // which is all `first_above_impl` requires.
+        let i = unsafe { first_above_impl(xs, from, thr) };
+        scalar::first_above(xs, i, thr)
+    }
+
+    /// Returns the first hit among the whole 4-lane blocks starting at
+    /// `from`, or the start of the `< 4`-element remainder (which the
+    /// caller scans).
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and `from <= xs.len()`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn first_above_impl(xs: &[f64], from: usize, thr: f64) -> usize {
+        let n = xs.len();
+        let vthr = _mm256_set1_pd(thr);
+        let mut i = from;
+        while i + LANES <= n {
+            let v = _mm256_loadu_pd(xs.as_ptr().add(i));
+            let hit = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(v, vthr));
+            if hit != 0 {
+                return i + hit.trailing_zeros() as usize;
+            }
+            i += LANES;
+        }
+        i
+    }
+
+    /// First `i >= from` whose score enters its list: an ordered
+    /// self-compare drops NaN scores and an unordered `!<=` passes a NaN
+    /// (not full) threshold, as [`scalar::first_entering`] does.
+    pub fn first_entering(scores: &[f64], thr_col: &[f64], from: usize) -> usize {
+        assert_available();
+        // Hard assert: the impl reads `thr_col` at indices of `scores`.
+        assert_eq!(
+            scores.len(),
+            thr_col.len(),
+            "first_entering operand length mismatch"
+        );
+        let from = from.min(scores.len());
+        // SAFETY: AVX2 is available, the two slices have equal length and
+        // `from <= scores.len()`, which is all `first_entering_impl` requires.
+        let i = unsafe { first_entering_impl(scores, thr_col, from) };
+        scalar::first_entering(scores, thr_col, i)
+    }
+
+    /// Returns the first hit among the whole 4-lane blocks starting at
+    /// `from`, or the start of the remainder (which the caller scans).
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, `thr_col.len() == scores.len()` and
+    /// `from <= scores.len()`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn first_entering_impl(scores: &[f64], thr_col: &[f64], from: usize) -> usize {
+        let n = scores.len();
+        let mut i = from;
+        while i + LANES <= n {
+            let vs = _mm256_loadu_pd(scores.as_ptr().add(i));
+            let vt = _mm256_loadu_pd(thr_col.as_ptr().add(i));
+            let ord = _mm256_cmp_pd::<_CMP_ORD_Q>(vs, vs);
+            let nle = _mm256_cmp_pd::<_CMP_NLE_UQ>(vs, vt);
+            let hit = _mm256_movemask_pd(_mm256_and_pd(ord, nle));
+            if hit != 0 {
+                return i + hit.trailing_zeros() as usize;
+            }
+            i += LANES;
+        }
+        i
     }
 }
 

@@ -4,7 +4,8 @@
 //! on random, constant, and NaN-containing inputs, across all remainder
 //! lengths (`n % 4 != 0` included). The element-wise Q-step kernels must
 //! also agree on *which* lanes are NaN — NaN semantics are part of the
-//! kernel contract (see `class_core::simd`).
+//! kernel contract (see `class_core::simd`). The next-candidate searches
+//! only compare, so every backend must return exactly the scalar index.
 
 use class_core::simd::{self, autovec, scalar, QStepIo};
 use class_core::SplitMix64;
@@ -226,6 +227,116 @@ fn dispatch_layer_matches_scalar_reference() {
     assert!(close(simd::diff_sumsq(&a), scalar::diff_sumsq(&a)));
 }
 
+/// Every backend's `first_above` and `first_entering` index, for every
+/// `from` in `0..=n + 1`, must equal the scalar reference's.
+fn check_candidate_search(xs: &[f64], thr: f64, thr_col: &[f64], label: &str) {
+    type Above = fn(&[f64], usize, f64) -> usize;
+    type Entering = fn(&[f64], &[f64], usize) -> usize;
+    let mut backends: Vec<(&str, Above, Entering)> = vec![
+        ("autovec", autovec::first_above, autovec::first_entering),
+        ("dispatch", simd::first_above, simd::first_entering),
+    ];
+    #[cfg(target_arch = "x86_64")]
+    if simd::avx2::available() {
+        backends.push(("avx2", simd::avx2::first_above, simd::avx2::first_entering));
+    }
+    for from in 0..=xs.len() + 1 {
+        let want_above = scalar::first_above(xs, from, thr);
+        let want_entering = scalar::first_entering(xs, thr_col, from);
+        for &(name, above, entering) in &backends {
+            assert_eq!(
+                above(xs, from, thr),
+                want_above,
+                "{label}/{name}/first_above(from={from}, thr={thr})"
+            );
+            assert_eq!(
+                entering(xs, thr_col, from),
+                want_entering,
+                "{label}/{name}/first_entering(from={from})"
+            );
+        }
+    }
+}
+
+/// Scores with NaN and -inf sprinkled in, and a threshold column that
+/// mixes NaN (list not full), exact ties with the score, and values on
+/// both sides of it.
+fn candidate_inputs(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
+    let mut xs = make_input(n, seed, None, false);
+    for (i, x) in xs.iter_mut().enumerate() {
+        match i % 7 {
+            2 => *x = f64::NAN,
+            5 => *x = f64::NEG_INFINITY,
+            _ => {}
+        }
+    }
+    let col = xs
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| match i % 5 {
+            0 => f64::NAN,
+            1 => x,
+            2 => x + 0.5,
+            3 => x - 0.5,
+            _ => f64::NEG_INFINITY,
+        })
+        .collect();
+    (xs, col)
+}
+
+#[test]
+fn candidate_searches_agree_across_remainders_and_offsets() {
+    for n in (0usize..=9).chain([15, 16, 17, 31, 32, 33, 64]) {
+        let (xs, col) = candidate_inputs(n, 900 + n as u64);
+        for thr in [f64::NEG_INFINITY, -1.0, 0.0, 2.5, f64::INFINITY, f64::NAN] {
+            check_candidate_search(&xs, thr, &col, &format!("mixed(n={n})"));
+        }
+        // Exact ties: every score equals the threshold, so nothing passes
+        // `first_above`, and a tied full list is not entered.
+        let ties = vec![0.75; n];
+        check_candidate_search(&ties, 0.75, &ties, &format!("ties(n={n})"));
+        assert_eq!(scalar::first_above(&ties, 0, 0.75), n);
+        assert_eq!(scalar::first_entering(&ties, &ties, 0), n);
+        // A NaN threshold column (no list full) admits every non-NaN score.
+        let nan_col = vec![f64::NAN; n];
+        check_candidate_search(&xs, f64::NEG_INFINITY, &nan_col, &format!("nan-col(n={n})"));
+        // No candidate: NaN and -inf scores only.
+        let dead: Vec<f64> = (0..n)
+            .map(|i| {
+                if i % 2 == 0 {
+                    f64::NAN
+                } else {
+                    f64::NEG_INFINITY
+                }
+            })
+            .collect();
+        check_candidate_search(&dead, f64::NEG_INFINITY, &dead, &format!("dead(n={n})"));
+        assert_eq!(scalar::first_above(&dead, 0, f64::NEG_INFINITY), n);
+        // A lone candidate at every position.
+        for hit in 0..n {
+            let mut one = vec![-2.0; n];
+            one[hit] = 1.0;
+            let col = vec![0.0; n];
+            check_candidate_search(&one, 0.0, &col, &format!("one(n={n}, hit={hit})"));
+            assert_eq!(scalar::first_above(&one, 0, 0.0), hit);
+            assert_eq!(scalar::first_entering(&one, &col, 0), hit);
+        }
+    }
+}
+
+#[test]
+fn candidate_search_reference_rules() {
+    let nan = f64::NAN;
+    let ninf = f64::NEG_INFINITY;
+    // NaN and -inf never pass a -inf threshold; +inf does.
+    assert_eq!(scalar::first_above(&[nan, ninf, f64::INFINITY], 0, ninf), 2);
+    // A -inf score enters a list that is not full, but not a full list
+    // whose k-th score is -inf; a NaN score enters nothing.
+    assert_eq!(scalar::first_entering(&[nan, ninf], &[nan, nan], 0), 1);
+    assert_eq!(scalar::first_entering(&[ninf, 0.0], &[ninf, 0.0], 0), 2);
+    assert_eq!(scalar::first_entering(&[ninf, 0.5], &[ninf, 0.0], 0), 1);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -249,5 +360,15 @@ proptest! {
         constant in any::<bool>(),
     ) {
         check_qstep_all(n, seed, (nan_sel < 130).then_some(nan_sel), constant);
+    }
+
+    #[test]
+    fn proptest_candidate_searches_agree(
+        n in 0usize..70,
+        seed in any::<u64>(),
+        thr in -3.5f64..3.5,
+    ) {
+        let (xs, col) = candidate_inputs(n, seed);
+        check_candidate_search(&xs, thr, &col, "proptest");
     }
 }

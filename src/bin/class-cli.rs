@@ -351,16 +351,85 @@ fn datasets_list(rest: &[String]) -> i32 {
         }
     }
 
-    if tsv {
-        println!("source\tarchive\tseries_files\tmultivariate_files\tskipped");
+    match list_datasets(data_dir.as_ref(), tsv, &mut std::io::stdout().lock()) {
+        Ok(()) => 0,
+        Err(e) => write_failure_code(&e),
     }
-    // Files the discovery walk could not classify are never silently
-    // dropped: each one gets a stderr warning, and the per-archive
-    // skipped count shows up in both output formats.
-    let list_tree = |source: &str, label: &str, dir: &datasets::DataDir| match dir.archives() {
+}
+
+/// Writes the `datasets list` report. Only write failures are returned.
+fn list_datasets(
+    data_dir: Option<&datasets::DataDir>,
+    tsv: bool,
+    out: &mut impl Write,
+) -> std::io::Result<()> {
+    if tsv {
+        writeln!(
+            out,
+            "source\tarchive\tseries_files\tmultivariate_files\tskipped"
+        )?;
+    }
+    match data_dir {
+        Some(dir) => list_tree(out, tsv, "real", "real archives", dir)?,
+        None if !tsv => writeln!(
+            out,
+            "real archives: none (set {} or pass --data-dir)",
+            datasets::DATA_DIR_ENV
+        )?,
+        None => {}
+    }
+    if !tsv {
+        writeln!(out)?;
+    }
+    list_tree(
+        out,
+        tsv,
+        "fixtures",
+        "bundled fixtures",
+        &datasets::DataDir::open(datasets::fixtures_dir()),
+    )?;
+    if !tsv {
+        writeln!(out)?;
+        writeln!(out, "synthetic stand-ins (Table 1 profiles):")?;
+    }
+    for a in datasets::Archive::all() {
+        let spec = a.spec();
+        if tsv {
+            writeln!(out, "synthetic\t{}\t{}\t0\t0", spec.name, spec.n_series)?;
+        } else {
+            writeln!(
+                out,
+                "  {:<12} {:>4} series, median length {:>9}, median segments {:>3}{}",
+                spec.name,
+                spec.n_series,
+                spec.len.1,
+                spec.segments.1,
+                if spec.is_benchmark {
+                    "  [benchmark]"
+                } else {
+                    ""
+                }
+            )?;
+        }
+    }
+    out.flush()
+}
+
+/// Lists the archives under one data directory. Files the discovery walk
+/// could not classify are never silently dropped: each one gets a stderr
+/// warning, and the per-archive skipped count shows up in both output
+/// formats.
+fn list_tree(
+    out: &mut impl Write,
+    tsv: bool,
+    source: &str,
+    label: &str,
+    dir: &datasets::DataDir,
+) -> std::io::Result<()> {
+    match dir.archives() {
         Ok(archives) if !archives.is_empty() => {
             if !tsv {
-                println!("{label} ({}):", dir.root().display());
+                writeln!(out, "{label} ({}):", dir.root().display())?;
             }
             for a in archives {
                 for p in &a.skipped {
@@ -371,13 +440,14 @@ fn datasets_list(rest: &[String]) -> i32 {
                     );
                 }
                 if tsv {
-                    println!(
+                    writeln!(
+                        out,
                         "{source}\t{}\t{}\t{}\t{}",
                         a.name,
                         a.files.len(),
                         a.multivariate_files.len(),
                         a.skipped.len()
-                    );
+                    )?;
                 } else {
                     let mv = a.multivariate_files.len();
                     let mv_note = if mv > 0 {
@@ -390,17 +460,18 @@ fn datasets_list(rest: &[String]) -> i32 {
                     } else {
                         format!(" ({} skipped)", a.skipped.len())
                     };
-                    println!(
+                    writeln!(
+                        out,
                         "  {:<12} {:>4} series files{mv_note}{skip_note}",
                         a.name,
                         a.files.len()
-                    );
+                    )?;
                 }
             }
         }
         Ok(_) => {
             if !tsv {
-                println!("{label} ({}): no archives", dir.root().display());
+                writeln!(out, "{label} ({}): no archives", dir.root().display())?;
             }
         }
         Err(e) => {
@@ -410,51 +481,11 @@ fn datasets_list(rest: &[String]) -> i32 {
                     dir.root().display()
                 );
             } else {
-                println!("{label} ({}): unreadable: {e}", dir.root().display());
+                writeln!(out, "{label} ({}): unreadable: {e}", dir.root().display())?;
             }
         }
-    };
-
-    match &data_dir {
-        Some(dir) => list_tree("real", "real archives", dir),
-        None if !tsv => println!(
-            "real archives: none (set {} or pass --data-dir)",
-            datasets::DATA_DIR_ENV
-        ),
-        None => {}
     }
-    if !tsv {
-        println!();
-    }
-    list_tree(
-        "fixtures",
-        "bundled fixtures",
-        &datasets::DataDir::open(datasets::fixtures_dir()),
-    );
-    if !tsv {
-        println!();
-        println!("synthetic stand-ins (Table 1 profiles):");
-    }
-    for a in datasets::Archive::all() {
-        let spec = a.spec();
-        if tsv {
-            println!("synthetic\t{}\t{}\t0\t0", spec.name, spec.n_series);
-        } else {
-            println!(
-                "  {:<12} {:>4} series, median length {:>9}, median segments {:>3}{}",
-                spec.name,
-                spec.n_series,
-                spec.len.1,
-                spec.segments.1,
-                if spec.is_benchmark {
-                    "  [benchmark]"
-                } else {
-                    ""
-                }
-            );
-        }
-    }
-    0
+    Ok(())
 }
 
 fn parse_datasets_run_args(rest: &[String]) -> Result<DatasetsRunArgs, String> {
@@ -1171,7 +1202,6 @@ fn serve_status(rest: &[String]) -> i32 {
         eprintln!("error: {source}: not a serving-stats document (schema {schema:?})");
         return 1;
     }
-    let num = |obj: &eval::Json, key: &str| obj.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
     let totals = match json.get("totals") {
         Some(t) => t.clone(),
         None => {
@@ -1186,75 +1216,15 @@ fn serve_status(rest: &[String]) -> i32 {
         .unwrap_or(&[])
         .to_vec();
 
-    if tsv {
-        println!("stream\tname\tshard\tstate\trecords_in\tdrops\tqueue_depth\tp99_ns");
-        for s in &streams {
-            println!(
-                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                num(s, "stream") as u64,
-                s.get("name").and_then(|v| v.as_str()).unwrap_or("?"),
-                num(s, "shard") as u64,
-                s.get("state").and_then(|v| v.as_str()).unwrap_or("?"),
-                num(s, "records_in") as u64,
-                num(s, "drops") as u64,
-                num(s, "queue_depth") as u64,
-                num(s, "p99_ns") as u64,
-            );
-        }
-    } else {
-        println!("serving stats from {source}");
-        println!("uptime:       {:.1} s", num(&json, "uptime_s"));
-        println!(
-            "streams:      {} connected, {} active, {quarantined} quarantined",
-            num(&totals, "streams") as u64,
-            num(&totals, "active") as u64,
-        );
-        println!(
-            "records in:   {} ({:.0} records/s)",
-            num(&totals, "records_in") as u64,
-            num(&totals, "records_per_sec"),
-        );
-        println!("drops:        {}", num(&totals, "drops") as u64);
-        println!(
-            "ingest lag:   {} records queued",
-            num(&totals, "queue_depth") as u64
-        );
-        // The `net` object is additive: only engines with an ingestion
-        // tier attached report it (serve --metrics-addr).
-        if let Some(net) = json.get("net") {
-            println!(
-                "ingest tier:  {} connections accepted ({} open), {} frames, \
-                 {} records, {} throttles, {} protocol errors",
-                num(net, "accepted") as u64,
-                num(net, "active") as u64,
-                num(net, "frames") as u64,
-                num(net, "records") as u64,
-                num(net, "throttle_events") as u64,
-                num(net, "protocol_errors") as u64,
-            );
-            for c in net
-                .get("connections")
-                .and_then(|v| v.as_arr())
-                .unwrap_or(&[])
-            {
-                println!(
-                    "  conn {} ({}): {}, {} streams, {} frames ({:.1}/s), \
-                     {} records, {} throttles",
-                    num(c, "conn") as u64,
-                    c.get("peer").and_then(|v| v.as_str()).unwrap_or("?"),
-                    if matches!(c.get("open"), Some(eval::Json::Bool(true))) {
-                        "open"
-                    } else {
-                        "closed"
-                    },
-                    num(c, "streams") as u64,
-                    num(c, "frames") as u64,
-                    num(c, "frames_per_sec"),
-                    num(c, "records") as u64,
-                    num(c, "throttle_events") as u64,
-                );
-            }
-        }
+    if let Err(e) = print_serve_status(
+        &mut std::io::stdout().lock(),
+        tsv,
+        &source,
+        &json,
+        &totals,
+        &streams,
+    ) {
+        return write_failure_code(&e);
     }
     // Quarantine detail goes to stderr in both formats, like
     // `datasets run`, so scripts scraping stdout stay parseable.
@@ -1278,6 +1248,104 @@ fn serve_status(rest: &[String]) -> i32 {
     } else {
         0
     }
+}
+
+/// Writes the `serve-status` summary of one stats document. Only write
+/// failures are returned.
+fn print_serve_status(
+    out: &mut impl Write,
+    tsv: bool,
+    source: &str,
+    json: &eval::Json,
+    totals: &eval::Json,
+    streams: &[eval::Json],
+) -> std::io::Result<()> {
+    if tsv {
+        writeln!(
+            out,
+            "stream\tname\tshard\tstate\trecords_in\tdrops\tqueue_depth\tp99_ns"
+        )?;
+        for s in streams {
+            writeln!(
+                out,
+                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+                num(s, "stream") as u64,
+                s.get("name").and_then(|v| v.as_str()).unwrap_or("?"),
+                num(s, "shard") as u64,
+                s.get("state").and_then(|v| v.as_str()).unwrap_or("?"),
+                num(s, "records_in") as u64,
+                num(s, "drops") as u64,
+                num(s, "queue_depth") as u64,
+                num(s, "p99_ns") as u64,
+            )?;
+        }
+    } else {
+        writeln!(out, "serving stats from {source}")?;
+        writeln!(out, "uptime:       {:.1} s", num(json, "uptime_s"))?;
+        writeln!(
+            out,
+            "streams:      {} connected, {} active, {} quarantined",
+            num(totals, "streams") as u64,
+            num(totals, "active") as u64,
+            num(totals, "quarantined") as u64,
+        )?;
+        writeln!(
+            out,
+            "records in:   {} ({:.0} records/s)",
+            num(totals, "records_in") as u64,
+            num(totals, "records_per_sec"),
+        )?;
+        writeln!(out, "drops:        {}", num(totals, "drops") as u64)?;
+        writeln!(
+            out,
+            "ingest lag:   {} records queued",
+            num(totals, "queue_depth") as u64
+        )?;
+        // The `net` object is additive: only engines with an ingestion
+        // tier attached report it (serve --metrics-addr).
+        if let Some(net) = json.get("net") {
+            writeln!(
+                out,
+                "ingest tier:  {} connections accepted ({} open), {} frames, \
+                 {} records, {} throttles, {} protocol errors",
+                num(net, "accepted") as u64,
+                num(net, "active") as u64,
+                num(net, "frames") as u64,
+                num(net, "records") as u64,
+                num(net, "throttle_events") as u64,
+                num(net, "protocol_errors") as u64,
+            )?;
+            for c in net
+                .get("connections")
+                .and_then(|v| v.as_arr())
+                .unwrap_or(&[])
+            {
+                writeln!(
+                    out,
+                    "  conn {} ({}): {}, {} streams, {} frames ({:.1}/s), \
+                     {} records, {} throttles",
+                    num(c, "conn") as u64,
+                    c.get("peer").and_then(|v| v.as_str()).unwrap_or("?"),
+                    if matches!(c.get("open"), Some(eval::Json::Bool(true))) {
+                        "open"
+                    } else {
+                        "closed"
+                    },
+                    num(c, "streams") as u64,
+                    num(c, "frames") as u64,
+                    num(c, "frames_per_sec"),
+                    num(c, "records") as u64,
+                    num(c, "throttle_events") as u64,
+                )?;
+            }
+        }
+    }
+    out.flush()
+}
+
+/// Numeric field `key` of a JSON object, 0 when absent.
+fn num(obj: &eval::Json, key: &str) -> f64 {
+    obj.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0)
 }
 
 // ---------------------------------------------------------------------------
@@ -1477,24 +1545,40 @@ fn serve_cmd(rest: &[String]) -> i32 {
     if code != 0 {
         return code;
     }
-    println!(
-        "served {} wire streams in {:.1} s",
-        results.len(),
-        started.elapsed().as_secs_f64()
-    );
+    print_served(
+        &results,
+        started.elapsed().as_secs_f64(),
+        &mut std::io::stdout().lock(),
+    )
+    .unwrap_or_else(|e| write_failure_code(&e))
+}
+
+/// Writes the per-stream report of a finished `serve` run. Only write
+/// failures are returned.
+fn print_served(
+    results: &[stream_engine::StreamResult<u64>],
+    elapsed_s: f64,
+    out: &mut impl Write,
+) -> std::io::Result<i32> {
+    writeln!(
+        out,
+        "served {} wire streams in {elapsed_s:.1} s",
+        results.len()
+    )?;
     let mut code = 0;
-    for r in &results {
+    for r in results {
         let mut found: Vec<u64> = r.output.iter().map(|rec| rec.value).collect();
         found.sort_unstable();
         found.dedup();
-        println!(
+        writeln!(
+            out,
             "stream {}: {} records, {} drops, {} change points [{}]",
             r.stream,
             r.records_in,
             r.drops,
             found.len(),
             fmt_cps(&found)
-        );
+        )?;
         if let Some((cause, at_record)) = r.quarantine() {
             eprintln!(
                 "quarantined: stream {} at record {at_record}: {cause}",
@@ -1503,7 +1587,8 @@ fn serve_cmd(rest: &[String]) -> i32 {
             code = EXIT_QUARANTINED;
         }
     }
-    code
+    out.flush()?;
+    Ok(code)
 }
 
 struct FeedArgs {
@@ -1610,6 +1695,19 @@ fn feed_cmd(rest: &[String]) -> i32 {
             return 1;
         }
     };
+    feed_files(&args, &mut client, req_ring, &mut std::io::stdout().lock())
+        .unwrap_or_else(|e| write_failure_code(&e))
+}
+
+/// Streams every file of `args` over `client`, one wire stream per file,
+/// and reports each file's ACK. Only stdout write failures are returned;
+/// other failures print an error and yield exit status 1.
+fn feed_files(
+    args: &FeedArgs,
+    client: &mut stream_engine::NetClient,
+    req_ring: Option<stream_engine::RingConfig>,
+    out: &mut impl Write,
+) -> std::io::Result<i32> {
     // ACK `received`/`drops` are cumulative per stream (= per file here);
     // the client's throttle counter spans the connection, so that one is
     // reported as a per-file delta.
@@ -1619,7 +1717,7 @@ fn feed_cmd(rest: &[String]) -> i32 {
             Ok(v) => v,
             Err(e) => {
                 eprintln!("error: {e}");
-                return 1;
+                return Ok(1);
             }
         };
         let name = std::path::Path::new(file)
@@ -1630,33 +1728,35 @@ fn feed_cmd(rest: &[String]) -> i32 {
             Ok(id) => id,
             Err(e) => {
                 eprintln!("error: {file}: register: {e}");
-                return 1;
+                return Ok(1);
             }
         };
         for chunk in values.chunks(args.batch) {
             if let Err(e) = client.send_records(id, chunk) {
                 eprintln!("error: {file}: send: {e}");
-                return 1;
+                return Ok(1);
             }
         }
         let ack = match client.detach(id) {
             Ok(a) => a,
             Err(e) => {
                 eprintln!("error: {file}: detach: {e}");
-                return 1;
+                return Ok(1);
             }
         };
         let throttled = client.throttle_events();
-        println!(
+        writeln!(
+            out,
             "fed {name}: {} records read, {} acked, {} dropped, {} throttle events",
             values.len(),
             ack.received,
             ack.drops,
             throttled - throttled_before,
-        );
+        )?;
         throttled_before = throttled;
     }
-    0
+    out.flush()?;
+    Ok(0)
 }
 
 fn fmt_cps(cps: &[u64]) -> String {

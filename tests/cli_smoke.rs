@@ -243,6 +243,41 @@ fn closed_stdout_ends_the_run_cleanly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+
+    // Report-style subcommands: stdout is a pipe whose reader is gone
+    // before the CLI starts, so their first line hits the closed pipe.
+    let dir = std::env::temp_dir().join(format!("class-cli-smoke-closed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let snapshot = dir.join("stats.json");
+    std::fs::write(
+        &snapshot,
+        stream_engine::render_stats_json(&stream_engine::ServingStats {
+            streams: Vec::new(),
+            shards: Vec::new(),
+            uptime: std::time::Duration::from_secs(1),
+        }),
+    )
+    .unwrap();
+    let snapshot = snapshot.display().to_string();
+    for args in [
+        vec!["datasets", "list"],
+        vec!["serve-status", "--snapshot", snapshot.as_str()],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(CLI)
+            .args(&args)
+            .env_remove("CLASS_DATA_DIR")
+            .stdin(Stdio::null())
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("run class-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn fixture(rel: &str) -> String {
