@@ -15,6 +15,9 @@
 //! * `class_step` — the full per-observation pipeline at the default
 //!   jump-ahead cadence.
 //!
+//! Beside the kernels it records `index_bytes` per d: the heap footprint of
+//! the `knn_update` workload's index ([`StreamingKnn::heap_bytes`]).
+//!
 //! ```sh
 //! cargo run --release -p bench --bin perf_trajectory              # full
 //! cargo run --release -p bench --bin perf_trajectory -- --preset quick
@@ -31,11 +34,13 @@
 //! committed `BENCH_perf.json` in place works) and the process exits
 //! non-zero if any shared (kernel, d) regressed beyond its tolerance —
 //! `--tolerance` (default 0.25) for the steady kernels, widened to 0.35
-//! for the noisier end-to-end `class_step`.
+//! for the noisier end-to-end `class_step`. It also fails if a d's
+//! `index_bytes` exceeds the baseline's: memory has no noise, so any growth
+//! is a regression.
 
 use bench::perf::{
-    json_string, kernel_medians, measure_batches, measure_batches_paired, regressions, render_json,
-    render_table, KernelStat,
+    index_bytes, json_string, kernel_medians, measure_batches, measure_batches_paired, regressions,
+    render_json, render_table, KernelStat,
 };
 use class_core::crossval::{CrossVal, ScoreFn};
 use class_core::knn::{KnnConfig, StreamingKnn};
@@ -129,10 +134,13 @@ fn main() {
     );
 
     let mut stats: Vec<KernelStat> = Vec::new();
+    let mut footprints: Vec<(usize, usize)> = Vec::new();
     for &d in preset.d_values {
         // --- knn_update: one streaming index update (Q-recursion +
         // scoring + single-pass selection + list maintenance). ---
         let (mut knn, mut rng) = filled_knn(d);
+        footprints.push((d, knn.heap_bytes()));
+        eprintln!("  index_bytes          d={d:<6} {:>12} B", knn.heap_bytes());
         let (median, best, ops) = measure_batches(preset.batches, preset.knn_ops, || {
             knn.update(black_box(rng.next_f64() * 2.0 - 1.0));
         });
@@ -214,12 +222,13 @@ fn main() {
         eprintln!("  class_step           d={d:<6} median {median:>12.1} ns/op");
     }
 
-    let json = render_json(preset.name, backend, &stats);
+    let json = render_json(preset.name, backend, &stats, &footprints);
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     println!("{}", render_table(&stats));
     eprintln!("wrote {out_path}");
 
     if let Some(baseline) = baseline {
+        let grew = footprint_grew(&baseline, &footprints);
         let base_backend = json_string(&baseline, "simd_backend").unwrap_or_default();
         if base_backend != backend {
             // A scalar-vs-AVX2 comparison measures the hardware, not the
@@ -231,6 +240,9 @@ fn main() {
                  (re-commit {} from matching hardware to re-arm the gate)",
                 check_path.as_deref().unwrap_or("")
             );
+            if grew {
+                std::process::exit(1);
+            }
             return;
         }
         // Gate every kernel shared between the fresh run and the baseline
@@ -239,7 +251,7 @@ fn main() {
         // tolerance: the end-to-end class_step mixes cheap skipped steps
         // with full evaluations and the occasional detection, so it is
         // noisier than the steady kernels.
-        let mut failed = false;
+        let mut failed = grew;
         let mut matched = 0usize;
         eprintln!(
             "regression check vs {} (baseline backend {base_backend}, tolerance {tolerance}):",
@@ -294,4 +306,32 @@ fn main() {
             std::process::exit(1);
         }
     }
+}
+
+/// Gates each d's `index_bytes` against the baseline's, with no slack:
+/// the footprint is exact, so any growth is a regression. The footprint
+/// does not depend on the kernel backend, so it is gated on every runner.
+fn footprint_grew(baseline: &str, footprints: &[(usize, usize)]) -> bool {
+    eprintln!("footprint check (no tolerance):");
+    let base = index_bytes(baseline);
+    let pairs: Vec<(String, f64, f64)> = footprints
+        .iter()
+        .filter_map(|&(d, fresh)| {
+            base.iter()
+                .find(|&&(bd, _)| bd == d)
+                .map(|&(_, b)| (format!("index_bytes d={d}"), b as f64, fresh as f64))
+        })
+        .collect();
+    if pairs.is_empty() {
+        eprintln!("  index_bytes not in baseline; skipped");
+    }
+    let mut grew = false;
+    for (label, base, fresh, regressed) in regressions(&pairs, true, 0.0) {
+        eprintln!(
+            "  {label:<31} baseline {base:>10} B, fresh {fresh:>10} B  {}",
+            if regressed { "GREW" } else { "ok" }
+        );
+        grew |= regressed;
+    }
+    grew
 }

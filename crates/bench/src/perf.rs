@@ -86,9 +86,15 @@ fn summarize(mut per_op: Vec<f64>, ops: u64) -> (f64, f64, u64) {
     (median, best, ops)
 }
 
-/// Renders the stats as the `BENCH_perf.json` document (no serde: the
+/// Renders the stats and the per-`d` k-NN index footprints
+/// (`(d, heap bytes)`) as the `BENCH_perf.json` document (no serde: the
 /// workspace is offline; the format is a stable, hand-written schema).
-pub fn render_json(preset: &str, simd_backend: &str, stats: &[KernelStat]) -> String {
+pub fn render_json(
+    preset: &str,
+    simd_backend: &str,
+    stats: &[KernelStat],
+    index: &[(usize, usize)],
+) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"class-perf-trajectory/v1\",\n");
@@ -107,8 +113,31 @@ pub fn render_json(preset: &str, simd_backend: &str, stats: &[KernelStat]) -> St
             if i + 1 < stats.len() { "," } else { "" }
         ));
     }
+    out.push_str("  ],\n");
+    out.push_str("  \"index_bytes\": [\n");
+    for (i, (d, bytes)) in index.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"d\": {d}, \"bytes\": {bytes}}}{}\n",
+            if i + 1 < index.len() { "," } else { "" }
+        ));
+    }
     out.push_str("  ]\n}\n");
     out
+}
+
+/// Reads the `"index_bytes"` list of a `BENCH_perf.json` document as
+/// `(d, bytes)` pairs; empty if the document has none.
+pub fn index_bytes(doc: &str) -> Vec<(usize, usize)> {
+    let Some(at) = doc.find("\"index_bytes\": [") else {
+        return Vec::new();
+    };
+    let list = &doc[at..];
+    let list = &list[..list.find(']').unwrap_or(list.len())];
+    list.split('{')
+        .skip(1)
+        .filter_map(|entry| Some((json_number(entry, "d")?, json_number(entry, "bytes")?)))
+        .map(|(d, bytes)| (d as usize, bytes as usize))
+        .collect()
 }
 
 /// Extracts the first `"key": <number>` value from a JSON document.
@@ -251,13 +280,14 @@ mod tests {
                 ops: 500,
             },
         ];
-        let doc = render_json("quick", "avx2", &stats);
+        let doc = render_json("quick", "avx2", &stats, &[(1000, 123_456)]);
         assert!(doc.starts_with('{') && doc.trim_end().ends_with('}'));
         assert_eq!(doc.matches("\"name\"").count(), 2);
         assert!(doc.contains("\"schema\": \"class-perf-trajectory/v1\""));
         assert!(doc.contains("\"simd_backend\": \"avx2\""));
         // Exactly one comma between the two kernel objects.
         assert_eq!(doc.matches("},").count(), 1);
+        assert!(doc.contains("\"index_bytes\": [\n    {\"d\": 1000, \"bytes\": 123456}\n  ]"));
         let table = render_table(&stats);
         assert_eq!(table.lines().count(), 4);
     }
@@ -287,7 +317,7 @@ mod tests {
                 ops: 6000,
             },
         ];
-        let doc = render_json("quick", "avx2", &stats);
+        let doc = render_json("quick", "avx2", &stats, &[(1000, 99_001), (4000, 350_120)]);
         assert_eq!(json_string(&doc, "preset").as_deref(), Some("quick"));
         assert_eq!(json_string(&doc, "simd_backend").as_deref(), Some("avx2"));
         assert_eq!(json_number(&doc, "d"), Some(1000.0));
@@ -298,6 +328,13 @@ mod tests {
             vec![(1000, 3556.8), (4000, 14044.3)]
         );
         assert_eq!(kernel_medians(&doc, "class_step"), Vec::new());
+        assert_eq!(index_bytes(&doc), vec![(1000, 99_001), (4000, 350_120)]);
+        // A baseline from before the footprint was recorded has none.
+        assert_eq!(
+            index_bytes(&render_json("quick", "avx2", &stats, &[])),
+            Vec::new()
+        );
+        assert_eq!(index_bytes("{\"kernels\": []}"), Vec::new());
     }
 
     #[test]

@@ -122,6 +122,9 @@ impl ClassConfig {
     }
 }
 
+/// Smallest sliding window [`ClassSegmenter::new`] accepts.
+pub const MIN_WINDOW_SIZE: usize = 16;
+
 enum State {
     /// Buffering observations until `w` can be learned.
     Warmup { buf: Vec<f64>, target: usize },
@@ -190,7 +193,7 @@ impl ClassSegmenter {
     /// Panics if the configuration is inconsistent (e.g. fixed width not
     /// smaller than the window size, `k` of 0).
     pub fn new(cfg: ClassConfig) -> Self {
-        assert!(cfg.window_size >= 16, "window size too small");
+        assert!(cfg.window_size >= MIN_WINDOW_SIZE, "window size too small");
         assert!(cfg.k >= 1, "k must be positive");
         assert!(cfg.cp_margin_factor >= 1.0, "cp_margin_factor must be >= 1");
         assert!(cfg.jump >= 1, "jump must be >= 1");
@@ -250,6 +253,16 @@ impl ClassSegmenter {
     /// Configuration in use.
     pub fn config(&self) -> &ClassConfig {
         &self.cfg
+    }
+
+    /// Heap bytes held by the segmenter's streaming state: the k-NN index
+    /// and the cross-validation engine once running, the warm-up buffer
+    /// before that.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.state {
+            State::Warmup { buf, .. } => buf.capacity() * core::mem::size_of::<f64>(),
+            State::Running(r) => r.knn.heap_bytes() + r.cv.heap_bytes(),
+        }
     }
 
     /// Total number of observations ingested so far.
@@ -510,6 +523,21 @@ mod tests {
                 .any(|&c| (c as i64 - sz(2500) as i64).unsigned_abs() < sz(400) as u64),
             "cps = {cps:?}"
         );
+    }
+
+    #[test]
+    fn heap_bytes_covers_the_warmup_buffer_then_index_and_crossval() {
+        let mut class = ClassSegmenter::new(ClassConfig::with_window_size(1_000));
+        assert_eq!(class.heap_bytes(), 1_000 * core::mem::size_of::<f64>());
+        let mut cps = Vec::new();
+        for x in freq_shift(2_000, 1_000, 3) {
+            class.step(x, &mut cps);
+        }
+        let State::Running(r) = &class.state else {
+            panic!("still warming up after two windows");
+        };
+        assert!(r.cv.heap_bytes() > 0, "no profile was computed");
+        assert_eq!(class.heap_bytes(), r.knn.heap_bytes() + r.cv.heap_bytes());
     }
 
     #[test]

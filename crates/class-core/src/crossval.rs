@@ -177,6 +177,14 @@ impl CrossVal {
         }
     }
 
+    /// Heap bytes held by the engine's buffers.
+    pub fn heap_bytes(&self) -> usize {
+        use core::mem::size_of;
+        (self.flip.capacity() + self.sel.capacity()) * size_of::<i64>()
+            + self.profile.capacity() * size_of::<f64>()
+            + (self.left_ones.capacity() + self.tot_ones.capacity()) * size_of::<u32>()
+    }
+
     /// Score function in use.
     pub fn score_fn(&self) -> ScoreFn {
         self.score_fn

@@ -144,6 +144,71 @@ impl KnnConfig {
     }
 }
 
+/// Per-subsequence moment columns, aligned with subsequence offsets. Each
+/// similarity keeps only the columns its Q-step reads.
+#[derive(Debug, Clone)]
+enum Moments {
+    /// Mean and standard deviation.
+    Pearson {
+        mu: ShiftBuffer<f64>,
+        sig: ShiftBuffer<f64>,
+    },
+    /// Sum of squares.
+    Euclidean { ssq: ShiftBuffer<f64> },
+    /// Sum of squares and squared complexity estimate.
+    Cid {
+        ssq: ShiftBuffer<f64>,
+        ce2: ShiftBuffer<f64>,
+    },
+}
+
+impl Moments {
+    fn new(similarity: Similarity, capacity: usize) -> Self {
+        let col = || ShiftBuffer::new(capacity);
+        match similarity {
+            Similarity::Pearson => Self::Pearson {
+                mu: col(),
+                sig: col(),
+            },
+            Similarity::Euclidean => Self::Euclidean { ssq: col() },
+            Similarity::Cid => Self::Cid {
+                ssq: col(),
+                ce2: col(),
+            },
+        }
+    }
+
+    /// Appends the moments of the newest subsequence.
+    fn push(&mut self, newest: &[f64]) {
+        let (sum, sumsq) = simd::sum_sumsq(newest);
+        match self {
+            Self::Pearson { mu, sig } => {
+                let w = newest.len() as f64;
+                let m = sum / w;
+                let var = (sumsq / w - m * m).max(0.0);
+                mu.push(m);
+                sig.push(var.sqrt());
+            }
+            Self::Euclidean { ssq } => {
+                ssq.push(sumsq);
+            }
+            Self::Cid { ssq, ce2 } => {
+                ssq.push(sumsq);
+                ce2.push(simd::diff_sumsq(newest));
+            }
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Self::Pearson { mu: a, sig: b } | Self::Cid { ssq: a, ce2: b } => {
+                a.heap_bytes() + b.heap_bytes()
+            }
+            Self::Euclidean { ssq } => ssq.heap_bytes(),
+        }
+    }
+}
+
 /// Exact streaming k-NN over sliding-window subsequences.
 ///
 /// See the module documentation for the algorithm; all state is pre-sized at
@@ -163,12 +228,8 @@ pub struct StreamingKnn {
     m_max: usize,
     /// Raw window values.
     win: ShiftBuffer<f64>,
-    /// Per-subsequence moments, aligned with subsequence offsets.
-    mu: ShiftBuffer<f64>,
-    sig: ShiftBuffer<f64>,
-    ssq: ShiftBuffer<f64>,
-    /// Squared complexity estimates (only maintained for CID).
-    ce2: ShiftBuffer<f64>,
+    /// Per-subsequence moments the similarity reads.
+    moments: Moments,
     /// Slot-indexed (w-1)-length dot products (the `Q` of Algorithm 2).
     /// Values never move between slots; see module docs.
     q: Vec<f64>,
@@ -206,10 +267,7 @@ impl Clone for StreamingKnn {
             excl: self.excl,
             m_max: self.m_max,
             win: self.win.clone(),
-            mu: self.mu.clone(),
-            sig: self.sig.clone(),
-            ssq: self.ssq.clone(),
-            ce2: self.ce2.clone(),
+            moments: self.moments.clone(),
             q: self.q.clone(),
             scores: self.scores.clone(),
             nn_sid: self.nn_sid.clone(),
@@ -239,10 +297,7 @@ impl StreamingKnn {
             excl,
             m_max,
             win: ShiftBuffer::new(cfg.window_size),
-            mu: ShiftBuffer::new(m_max),
-            sig: ShiftBuffer::new(m_max),
-            ssq: ShiftBuffer::new(m_max),
-            ce2: ShiftBuffer::new(m_max),
+            moments: Moments::new(cfg.similarity, m_max),
             q: vec![0.0; m_max],
             scores: vec![0.0; m_max],
             nn_sid: ShiftMatrix::new(m_max, k),
@@ -318,7 +373,7 @@ impl StreamingKnn {
     /// Number of subsequences currently in the window.
     #[inline]
     pub fn n_subsequences(&self) -> usize {
-        self.mu.len()
+        (self.win.len() + 1).saturating_sub(self.cfg.width)
     }
 
     /// First slot holding a live subsequence (`m_max - n_subsequences`).
@@ -375,6 +430,21 @@ impl StreamingKnn {
         &self.scores
     }
 
+    /// Heap bytes held by the index: every column's allocation, spare
+    /// regions included, plus the change journal ring. Fixed at
+    /// construction; [`StreamingKnn::update`] never grows it.
+    pub fn heap_bytes(&self) -> usize {
+        use core::mem::size_of;
+        self.win.heap_bytes()
+            + self.moments.heap_bytes()
+            + (self.q.capacity() + self.scores.capacity()) * size_of::<f64>()
+            + self.nn_sid.heap_bytes()
+            + self.nn_score.heap_bytes()
+            + self.nn_len.heap_bytes()
+            + self.kth.heap_bytes()
+            + self.events.capacity() * size_of::<KnnEvent>()
+    }
+
     /// Raw window contents, oldest value first.
     #[inline]
     pub fn window(&self) -> &[f64] {
@@ -407,21 +477,7 @@ impl StreamingKnn {
         self.next_sid += 1;
 
         // --- Per-subsequence moments of the newest subsequence (O(w)). ---
-        {
-            let win = self.win.as_slice();
-            let newest = &win[l - w..];
-            let (sum, ssq) = simd::sum_sumsq(newest);
-            let mu = sum / w as f64;
-            let var = (ssq / w as f64 - mu * mu).max(0.0);
-            self.mu.push(mu);
-            self.sig.push(var.sqrt());
-            self.ssq.push(ssq);
-            if self.cfg.similarity == Similarity::Cid {
-                self.ce2.push(simd::diff_sumsq(newest));
-            } else {
-                self.ce2.push(0.0);
-            }
-        }
+        self.moments.push(&self.win.as_slice()[l - w..]);
 
         let n_subs = l - w + 1;
         let qstart = self.m_max - n_subs;
@@ -453,11 +509,6 @@ impl StreamingKnn {
             }
             let last = win[l - 1];
             let first_of_newest = win[l - w];
-            let wf = w as f64;
-            let mu = self.mu.as_slice();
-            let sig = self.sig.as_slice();
-            let ssq = self.ssq.as_slice();
-            let ce2 = self.ce2.as_slice();
             let o_new = n_subs - 1;
             let io = simd::QStepIo {
                 q: &mut self.q[qstart..],
@@ -467,14 +518,17 @@ impl StreamingKnn {
                 last,
                 first: first_of_newest,
             };
-            match self.cfg.similarity {
-                Similarity::Pearson => {
-                    simd::qstep_pearson(io, mu, sig, wf, mu[o_new], sig[o_new]);
+            match &self.moments {
+                Moments::Pearson { mu, sig } => {
+                    let (mu, sig) = (mu.as_slice(), sig.as_slice());
+                    simd::qstep_pearson(io, mu, sig, w as f64, mu[o_new], sig[o_new]);
                 }
-                Similarity::Euclidean => {
+                Moments::Euclidean { ssq } => {
+                    let ssq = ssq.as_slice();
                     simd::qstep_euclidean(io, ssq, ssq[o_new]);
                 }
-                Similarity::Cid => {
+                Moments::Cid { ssq, ce2 } => {
+                    let (ssq, ce2) = (ssq.as_slice(), ce2.as_slice());
                     simd::qstep_cid(io, ssq, ce2, ssq[o_new], ce2[o_new]);
                 }
             }
@@ -1044,6 +1098,48 @@ mod tests {
             knn.update(x);
             assert_kth_column(&knn, t);
         }
+    }
+
+    #[test]
+    fn index_footprint_stays_within_budget() {
+        // The paper's default window at width 50. With a second full copy
+        // of every column and all four moment columns, this index would
+        // hold 2,123,262 B.
+        let (d, w, k) = (10_000, 50, 3);
+        let mut knn = StreamingKnn::new(KnnConfig::new(d, w, k));
+        let at_start = knn.heap_bytes();
+        // 30k updates fill the window and compact every column 16 times;
+        // unoptimized builds stop after 4 compactions to stay fast.
+        let n = if cfg!(debug_assertions) {
+            15_000
+        } else {
+            30_000
+        };
+        for &x in &random_series(n, 16) {
+            knn.update(x);
+        }
+        assert_eq!(knn.heap_bytes(), at_start, "update must not allocate");
+        assert!(
+            knn.heap_bytes() <= 1_150_000,
+            "Pearson index at d={d}: {} B",
+            knn.heap_bytes()
+        );
+
+        // Euclidean reads one moment column, CID two, Pearson two.
+        let with = |similarity| {
+            StreamingKnn::new(KnnConfig {
+                similarity,
+                ..KnnConfig::new(d, w, k)
+            })
+        };
+        let column = ShiftBuffer::<f64>::new(d - w + 1).heap_bytes();
+        let (euclidean, cid) = (with(Similarity::Euclidean), with(Similarity::Cid));
+        assert!(matches!(euclidean.moments, Moments::Euclidean { .. }));
+        assert!(matches!(cid.moments, Moments::Cid { .. }));
+        assert_eq!(euclidean.moments.heap_bytes(), column);
+        assert_eq!(cid.moments.heap_bytes(), 2 * column);
+        assert_eq!(knn.moments.heap_bytes(), 2 * column);
+        assert_eq!(knn.heap_bytes() - euclidean.heap_bytes(), column);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod stats;
 pub mod wss;
 
 pub use clasp_batch::{clasp_profile, clasp_segment, ClaspConfig};
-pub use class::{ClassConfig, ClassSegmenter, WidthSelection};
+pub use class::{ClassConfig, ClassSegmenter, WidthSelection, MIN_WINDOW_SIZE};
 pub use crossval::{CrossVal, ScoreFn};
 pub use knn::{KnnConfig, KnnEvent, StreamingKnn};
 pub use multivariate::{

@@ -38,7 +38,9 @@
 //! class-cli feed --connect 127.0.0.1:9600 sensor-a.txt sensor-b.txt
 //! ```
 
-use class_core::{ClassConfig, ClassSegmenter, StreamingSegmenter, WidthSelection, WssMethod};
+use class_core::{
+    ClassConfig, ClassSegmenter, StreamingSegmenter, WidthSelection, WssMethod, MIN_WINDOW_SIZE,
+};
 use std::io::{BufRead, BufReader, Read, Write};
 
 struct CliArgs {
@@ -84,10 +86,10 @@ USAGE:
 
 OPTIONS:
     --input FILE       read from FILE instead of stdin
-    --window N         sliding window size d (default 10000)
+    --window N         sliding window size d (default 10000, at least 16)
     --width N          fixed subsequence width (default: learned via SuSS)
     --wss METHOD       width selection: suss | fft | acf | mwf
-    --alpha P          significance level (default 1e-50)
+    --alpha P          significance level in (0, 1] (default 1e-50)
     --column N         0-based CSV column to read (default 0)
     --delimiter C      CSV delimiter (default ',')
     --format FMT       output: text | tsv
@@ -197,9 +199,7 @@ fn parse_args(rest: &[String]) -> Result<CliArgs, String> {
         };
         match arg.as_str() {
             "--input" => args.input = Some(grab("--input")?),
-            "--window" => {
-                args.window = grab("--window")?.parse().map_err(|_| "numeric --window")?
-            }
+            "--window" => args.window = parse_window(&grab("--window")?)?,
             "--width" => {
                 args.width = Some(grab("--width")?.parse().map_err(|_| "numeric --width")?)
             }
@@ -212,7 +212,7 @@ fn parse_args(rest: &[String]) -> Result<CliArgs, String> {
                     other => return Err(format!("unknown WSS method {other}")),
                 }
             }
-            "--alpha" => args.alpha = grab("--alpha")?.parse().map_err(|_| "numeric --alpha")?,
+            "--alpha" => args.alpha = parse_alpha(&grab("--alpha")?)?,
             "--column" => {
                 args.column = grab("--column")?.parse().map_err(|_| "numeric --column")?
             }
@@ -235,6 +235,25 @@ fn parse_args(rest: &[String]) -> Result<CliArgs, String> {
         }
     }
     Ok(args)
+}
+
+/// Parses a `--window` value: a whole number no smaller than the
+/// segmenter's minimum window.
+fn parse_window(v: &str) -> Result<usize, String> {
+    let d: usize = v.parse().map_err(|_| "numeric --window")?;
+    if d < MIN_WINDOW_SIZE {
+        return Err(format!("--window must be at least {MIN_WINDOW_SIZE}"));
+    }
+    Ok(d)
+}
+
+/// Parses an `--alpha` significance level, which must lie in (0, 1].
+fn parse_alpha(v: &str) -> Result<f64, String> {
+    let a: f64 = v.parse().map_err(|_| "numeric --alpha")?;
+    if !(a > 0.0 && a <= 1.0) {
+        return Err(format!("--alpha must be in (0, 1], got {v}"));
+    }
+    Ok(a)
 }
 
 /// Exit status after a failed stdout write: a reader that closed the
@@ -513,11 +532,9 @@ fn parse_datasets_run_args(rest: &[String]) -> Result<DatasetsRunArgs, String> {
                 .ok_or_else(|| format!("{name} requires a value"))
         };
         match arg.as_str() {
-            "--window" => {
-                out.window = Some(grab("--window")?.parse().map_err(|_| "numeric --window")?)
-            }
+            "--window" => out.window = Some(parse_window(&grab("--window")?)?),
             "--width" => out.width = Some(grab("--width")?.parse().map_err(|_| "numeric --width")?),
-            "--alpha" => out.alpha = grab("--alpha")?.parse().map_err(|_| "numeric --alpha")?,
+            "--alpha" => out.alpha = parse_alpha(&grab("--alpha")?)?,
             "--rate" => {
                 let rate: f64 = grab("--rate")?.parse().map_err(|_| "numeric --rate")?;
                 if !(rate > 0.0 && rate.is_finite()) {
@@ -1408,7 +1425,7 @@ fn parse_serve_args(rest: &[String]) -> Result<ServeArgs, String> {
                 }
                 out.shards = s;
             }
-            "--window" => out.window = grab("--window")?.parse().map_err(|_| "numeric --window")?,
+            "--window" => out.window = parse_window(&grab("--window")?)?,
             "--width" => out.width = Some(grab("--width")?.parse().map_err(|_| "numeric --width")?),
             "--wss" => {
                 out.wss = match grab("--wss")?.as_str() {
@@ -1419,7 +1436,7 @@ fn parse_serve_args(rest: &[String]) -> Result<ServeArgs, String> {
                     other => return Err(format!("unknown WSS method {other}")),
                 }
             }
-            "--alpha" => out.alpha = grab("--alpha")?.parse().map_err(|_| "numeric --alpha")?,
+            "--alpha" => out.alpha = parse_alpha(&grab("--alpha")?)?,
             "--jump" => {
                 let j: usize = grab("--jump")?.parse().map_err(|_| "numeric --jump")?;
                 if j == 0 {

@@ -2,7 +2,7 @@
 //! two-regime series via stdin and assert a change point lands near the
 //! regime boundary with a clean exit code.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::process::{Command, Stdio};
 
 const CLI: &str = env!("CARGO_BIN_EXE_class-cli");
@@ -221,6 +221,68 @@ fn non_numeric_flag_values_are_usage_errors() {
         );
         assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
     }
+}
+
+/// Runs `class-cli` with `args` and no stdin, killing it if it has not
+/// exited after `deadline` (a server started with a bad configuration would
+/// otherwise wait for producers forever). Returns the stderr and the exit
+/// code, or `None` if it had to be killed.
+fn run_cli_with_deadline(args: &[&str], deadline: std::time::Duration) -> (String, Option<i32>) {
+    let mut child = Command::new(CLI)
+        .args(args)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn class-cli");
+    let started = std::time::Instant::now();
+    let code = loop {
+        if let Some(status) = child.try_wait().expect("poll class-cli") {
+            break status.code();
+        }
+        if started.elapsed() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            break None;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("stderr piped")
+        .read_to_string(&mut stderr)
+        .ok();
+    (stderr, code)
+}
+
+#[test]
+fn too_small_windows_and_out_of_range_alphas_are_usage_errors() {
+    let file = fixture("TSSB/SineFreqDouble_50_900.txt");
+    let cases: [&[&str]; 4] = [
+        &["--window", "5"],
+        &["datasets", "run", &file, "--window", "5"],
+        &["serve", "--listen", "127.0.0.1:0", "--window", "5"],
+        &["--alpha", "0"],
+    ];
+    for args in cases {
+        let (stderr, code) = run_cli_with_deadline(args, std::time::Duration::from_secs(10));
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        let want = if args.contains(&"--alpha") {
+            "error: --alpha must be in (0, 1], got 0"
+        } else {
+            "error: --window must be at least 16"
+        };
+        assert!(stderr.contains(want), "{args:?}: {stderr}");
+    }
+    for alpha in ["-1", "1.5", "NaN"] {
+        let (_, stderr, code) = run_cli(&["--alpha", alpha], "");
+        assert_eq!(code, 2, "--alpha {alpha}: {stderr}");
+    }
+    let (_, stderr, code) = run_cli(&["--window", "16", "--alpha", "1"], "1\n");
+    assert_eq!(code, 0, "the boundary values are valid: {stderr}");
 }
 
 #[test]
