@@ -1,5 +1,6 @@
-//! Minimal command-line argument parsing for the experiment binaries
-//! (kept dependency-free on purpose; see EXPERIMENTS.md).
+//! The experiment binaries' common options, read with the workspace's
+//! one flag parser, [`eval::Flags`] (no external dependency on purpose;
+//! see EXPERIMENTS.md).
 
 /// Common experiment options.
 #[derive(Debug, Clone)]
@@ -41,29 +42,26 @@ impl Default for Args {
 }
 
 impl Args {
-    /// Parses `std::env::args()`; unknown flags abort with a usage message.
+    /// Parses `std::env::args()`; a usage error prints `error: …` and
+    /// exits with status 2.
     pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
+        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| eval::usage_exit(&e))
     }
 
     /// Parses an explicit iterator of arguments (testable).
-    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Self {
+    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = Self::default();
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            let mut grab = |name: &str| {
-                it.next()
-                    .unwrap_or_else(|| panic!("{name} requires a value"))
-            };
+        let mut flags = eval::Flags::new(args);
+        while let Some(arg) = flags.next() {
             match arg.as_str() {
-                "--scale" => out.scale = grab("--scale").parse().expect("numeric --scale"),
+                "--scale" => out.scale = flags.parse()?,
                 "--paper-sizes" => out.paper_sizes = true,
-                "--window" => out.window = grab("--window").parse().expect("numeric --window"),
-                "--threads" => out.threads = grab("--threads").parse().expect("numeric --threads"),
-                "--seed" => out.seed = grab("--seed").parse().expect("numeric --seed"),
-                "--choice" => out.choice = Some(grab("--choice")),
+                "--window" => out.window = flags.parse()?,
+                "--threads" => out.threads = flags.parse()?,
+                "--seed" => out.seed = flags.parse()?,
+                "--choice" => out.choice = Some(flags.value()?),
                 "--quick" => out.quick = true,
-                "--data-dir" => out.data_dir = Some(grab("--data-dir")),
+                "--data-dir" => out.data_dir = Some(flags.value()?),
                 "--help" | "-h" => {
                     eprintln!(
                         "options: --scale F --paper-sizes --window N --threads N --seed N \
@@ -71,10 +69,10 @@ impl Args {
                     );
                     std::process::exit(0);
                 }
-                other => panic!("unknown argument: {other}"),
+                _ => return Err(flags.unknown()),
             }
         }
-        out
+        Ok(out)
     }
 
     /// Dataset generation config derived from the arguments.
@@ -101,7 +99,7 @@ mod tests {
     use super::*;
 
     fn parse(s: &str) -> Args {
-        Args::parse_from(s.split_whitespace().map(String::from))
+        Args::parse_from(s.split_whitespace().map(String::from)).unwrap()
     }
 
     #[test]
@@ -134,8 +132,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn unknown_flag_panics() {
-        let _ = parse("--frobnicate");
+    fn unknown_flag_is_an_error() {
+        let err = Args::parse_from(["--frobnicate".to_string()]).unwrap_err();
+        assert_eq!(err, "unknown argument --frobnicate");
     }
 }

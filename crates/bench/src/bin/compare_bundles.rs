@@ -17,58 +17,46 @@
 //! bundles.
 
 use eval::bundle::{compare, RunBundle};
+use eval::{read_args, usage_exit};
 
 const USAGE: &str = "usage: compare_bundles A.json B.json \
      [--tolerance METRIC=F]... [--default-tolerance F]";
-
-fn fail(msg: &str) -> ! {
-    eprintln!("compare_bundles: {msg}");
-    std::process::exit(2);
-}
 
 fn main() {
     let mut paths: Vec<String> = Vec::new();
     let mut overrides: Vec<(String, f64)> = Vec::new();
     let mut default_tolerance: Option<f64> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--tolerance" => {
-                let spec = it
-                    .next()
-                    .unwrap_or_else(|| fail("--tolerance requires METRIC=F"));
-                let (metric, value) = spec
-                    .split_once('=')
-                    .unwrap_or_else(|| fail(&format!("bad --tolerance {spec:?}: want METRIC=F")));
-                let value: f64 = value
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("bad tolerance value {value:?}")));
-                overrides.push((metric.to_string(), value));
+    read_args(|flags| {
+        while let Some(arg) = flags.next() {
+            match arg.as_str() {
+                "--tolerance" => {
+                    let spec = flags.value()?;
+                    let (metric, value) = spec
+                        .split_once('=')
+                        .ok_or_else(|| format!("bad --tolerance {spec:?}: want METRIC=F"))?;
+                    let value: f64 = value
+                        .parse()
+                        .map_err(|_| format!("bad tolerance value {value:?}"))?;
+                    overrides.push((metric.to_string(), value));
+                }
+                "--default-tolerance" => default_tolerance = Some(flags.parse()?),
+                "--help" | "-h" => {
+                    eprintln!("{USAGE}");
+                    std::process::exit(0);
+                }
+                flag if flag.starts_with("--") => return Err(flags.unknown()),
+                path => paths.push(path.to_string()),
             }
-            "--default-tolerance" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| fail("--default-tolerance requires a value"));
-                default_tolerance = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("bad --default-tolerance value {v:?}"))),
-                );
-            }
-            "--help" | "-h" => {
-                eprintln!("{USAGE}");
-                return;
-            }
-            other if other.starts_with("--") => fail(&format!("unknown option {other}")),
-            path => paths.push(path.to_string()),
         }
-    }
+        Ok(())
+    });
     if paths.len() != 2 {
-        fail(USAGE);
+        usage_exit(USAGE);
     }
 
-    let a = RunBundle::load(&paths[0]).unwrap_or_else(|e| fail(&e));
-    let b = RunBundle::load(&paths[1]).unwrap_or_else(|e| fail(&e));
-    let report = compare(&a, &b, &overrides, default_tolerance).unwrap_or_else(|e| fail(&e));
+    let a = RunBundle::load(&paths[0]).unwrap_or_else(|e| usage_exit(&e));
+    let b = RunBundle::load(&paths[1]).unwrap_or_else(|e| usage_exit(&e));
+    let report = compare(&a, &b, &overrides, default_tolerance).unwrap_or_else(|e| usage_exit(&e));
 
     println!(
         "comparing {} ({} seed={:?} {}) vs {} ({} seed={:?} {})",

@@ -46,6 +46,7 @@ use class_core::crossval::{CrossVal, ScoreFn};
 use class_core::knn::{KnnConfig, StreamingKnn};
 use class_core::stats::SplitMix64;
 use class_core::{ClassConfig, ClassSegmenter, StreamingSegmenter, WidthSelection};
+use eval::read_args;
 use std::hint::black_box;
 
 const WIDTH: usize = 50;
@@ -92,35 +93,24 @@ fn main() {
     let mut out_path = "BENCH_perf.json".to_string();
     let mut check_path: Option<String> = None;
     let mut tolerance: f64 = 0.25;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--preset" => {
-                let v = it.next().expect("--preset requires a value");
-                preset = match v.as_str() {
-                    "quick" => &QUICK,
-                    "full" => &FULL,
-                    other => panic!("unknown preset {other} (quick|full)"),
-                };
+    read_args(|flags| {
+        while let Some(arg) = flags.next() {
+            match arg.as_str() {
+                "--preset" => preset = flags.one_of(&[("quick", &QUICK), ("full", &FULL)])?,
+                "--out" => out_path = flags.value()?,
+                "--check" => check_path = Some(flags.value()?),
+                "--tolerance" => tolerance = flags.parse()?,
+                "--help" | "-h" => {
+                    eprintln!(
+                        "options: --preset quick|full --out PATH --check BASELINE.json --tolerance F"
+                    );
+                    std::process::exit(0);
+                }
+                _ => return Err(flags.unknown()),
             }
-            "--out" => out_path = it.next().expect("--out requires a value"),
-            "--check" => check_path = Some(it.next().expect("--check requires a value")),
-            "--tolerance" => {
-                tolerance = it
-                    .next()
-                    .expect("--tolerance requires a value")
-                    .parse()
-                    .expect("numeric --tolerance");
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "options: --preset quick|full --out PATH --check BASELINE.json --tolerance F"
-                );
-                return;
-            }
-            other => panic!("unknown argument: {other}"),
         }
-    }
+        Ok(())
+    });
     // Read the baseline before measuring: `--check` against the same
     // file `--out` overwrites must compare old numbers, not fresh ones.
     let baseline = check_path.as_ref().map(|p| {

@@ -54,6 +54,7 @@ use class_core::{
 };
 use datasets::{build_series, NoiseSpec, Regime};
 use eval::bundle::RunBundle;
+use eval::read_args;
 use stream_engine::{
     drive, interleave_channels, serve, silence_injected_panics, vm_hwm_kb, Backpressure,
     DriveOutcome, EngineConfig, FaultKind, FaultPlan, FaultingOperator, GuardConfig, MetricsServer,
@@ -383,48 +384,33 @@ fn main() {
     let mut metrics_addr: Option<String> = None;
     let mut stats_json: Option<String> = None;
     let mut bundle_out: Option<String> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut grab = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--preset" => {
-                preset = match grab("--preset").as_str() {
-                    "quick" => &QUICK,
-                    "full" => &FULL,
-                    other => panic!("unknown preset {other} (quick|full)"),
-                };
+    read_args(|flags| {
+        while let Some(arg) = flags.next() {
+            match arg.as_str() {
+                "--preset" => preset = flags.one_of(&[("quick", &QUICK), ("full", &FULL)])?,
+                "--seed" => seed = flags.parse()?,
+                "--density" => density = flags.parse()?,
+                "--shards" => shards = flags.parse()?,
+                "--streams" => streams_override = Some(flags.parse()?),
+                "--minutes" => minutes = Some(flags.parse()?),
+                "--mv-channels" => mv_channels = flags.at_least(1)?,
+                "--metrics-addr" => metrics_addr = Some(flags.value()?),
+                "--stats-json" => stats_json = Some(flags.value()?),
+                "--bundle-out" => bundle_out = Some(flags.value()?),
+                "--out" => out_path = flags.value()?,
+                "--help" | "-h" => {
+                    eprintln!(
+                        "options: --preset quick|full --seed N --density F --shards N \
+                         --streams N --minutes F --mv-channels C --metrics-addr HOST:PORT \
+                         --stats-json PATH --bundle-out PATH --out PATH"
+                    );
+                    std::process::exit(0);
+                }
+                _ => return Err(flags.unknown()),
             }
-            "--seed" => seed = grab("--seed").parse().expect("numeric --seed"),
-            "--density" => density = grab("--density").parse().expect("numeric --density"),
-            "--shards" => shards = grab("--shards").parse().expect("numeric --shards"),
-            "--streams" => {
-                streams_override = Some(grab("--streams").parse().expect("numeric --streams"))
-            }
-            "--minutes" => minutes = Some(grab("--minutes").parse().expect("numeric --minutes")),
-            "--mv-channels" => {
-                mv_channels = grab("--mv-channels")
-                    .parse()
-                    .expect("numeric --mv-channels");
-                assert!(mv_channels >= 1, "--mv-channels must be >= 1");
-            }
-            "--metrics-addr" => metrics_addr = Some(grab("--metrics-addr")),
-            "--stats-json" => stats_json = Some(grab("--stats-json")),
-            "--bundle-out" => bundle_out = Some(grab("--bundle-out")),
-            "--out" => out_path = grab("--out"),
-            "--help" | "-h" => {
-                eprintln!(
-                    "options: --preset quick|full --seed N --density F --shards N \
-                     --streams N --minutes F --mv-channels C --metrics-addr HOST:PORT \
-                     --stats-json PATH --bundle-out PATH --out PATH"
-                );
-                return;
-            }
-            other => panic!("unknown argument: {other}"),
         }
-    }
+        Ok(())
+    });
     silence_injected_panics();
 
     let n_streams = streams_override.unwrap_or(preset.streams);

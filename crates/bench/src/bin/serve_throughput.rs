@@ -55,6 +55,7 @@ use class_core::{
 };
 use datasets::{build_series, NoiseSpec, Regime};
 use eval::bundle::RunBundle;
+use eval::read_args;
 use stream_engine::{
     feed_all, serve, Backpressure, EngineConfig, IngestServer, LatencyHistogram,
     MultiChannelReplaySource, MultivariateSegmenterOperator, NetClient, NetStats, RingConfig,
@@ -260,88 +261,64 @@ fn main() {
     let mut mv_channels = 0usize;
     let mut jump: Option<usize> = None;
     let mut bundle_out: Option<String> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut grab = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--preset" => {
-                preset = match grab("--preset").as_str() {
-                    "quick" => &QUICK,
-                    "full" => &FULL,
-                    other => panic!("unknown preset {other} (quick|full)"),
-                };
+    read_args(|flags| {
+        while let Some(arg) = flags.next() {
+            match arg.as_str() {
+                "--preset" => preset = flags.one_of(&[("quick", &QUICK), ("full", &FULL)])?,
+                "--shards" => shards = flags.parse()?,
+                "--streams" => streams_override = Some(flags.parse()?),
+                "--ring" => ring = flags.parse()?,
+                "--policy" => {
+                    policy = flags.one_of(&[
+                        ("block", Backpressure::Block),
+                        ("drop-oldest", Backpressure::DropOldest),
+                    ])?
+                }
+                "--seed" => seed = flags.parse()?,
+                "--jump" => jump = Some(flags.parse()?),
+                "--mv-channels" => mv_channels = flags.parse()?,
+                "--socket" => socket = true,
+                "--producers" => producers = flags.parse()?,
+                "--batch" => batch = flags.parse()?,
+                "--floor-of" => floor_of = Some(flags.value()?),
+                "--floor-ratio" => floor_ratio = flags.parse()?,
+                "--out" => out_override = Some(flags.value()?),
+                "--bundle-out" => bundle_out = Some(flags.value()?),
+                "--check" => check_path = Some(flags.value()?),
+                "--tolerance" => tolerance = flags.parse()?,
+                "--help" | "-h" => {
+                    eprintln!(
+                        "options: --preset quick|full --shards N --streams N --ring N \
+                         --policy block|drop-oldest --mv-channels C --jump N --seed N \
+                         --out PATH --bundle-out PATH --check BASELINE.json --tolerance F \
+                         --socket --producers N --batch N --floor-of BENCH_serve.json --floor-ratio F"
+                    );
+                    std::process::exit(0);
+                }
+                _ => return Err(flags.unknown()),
             }
-            "--shards" => shards = grab("--shards").parse().expect("numeric --shards"),
-            "--streams" => {
-                streams_override = Some(grab("--streams").parse().expect("numeric --streams"))
-            }
-            "--ring" => ring = grab("--ring").parse().expect("numeric --ring"),
-            "--policy" => {
-                policy = match grab("--policy").as_str() {
-                    "block" => Backpressure::Block,
-                    "drop-oldest" => Backpressure::DropOldest,
-                    other => panic!("unknown policy {other} (block|drop-oldest)"),
-                };
-            }
-            "--seed" => seed = grab("--seed").parse().expect("numeric --seed"),
-            "--jump" => jump = Some(grab("--jump").parse().expect("numeric --jump")),
-            "--mv-channels" => {
-                mv_channels = grab("--mv-channels")
-                    .parse()
-                    .expect("numeric --mv-channels")
-            }
-            "--socket" => socket = true,
-            "--producers" => producers = grab("--producers").parse().expect("numeric --producers"),
-            "--batch" => batch = grab("--batch").parse().expect("numeric --batch"),
-            "--floor-of" => floor_of = Some(grab("--floor-of")),
-            "--floor-ratio" => {
-                floor_ratio = grab("--floor-ratio")
-                    .parse()
-                    .expect("numeric --floor-ratio")
-            }
-            "--out" => out_override = Some(grab("--out")),
-            "--bundle-out" => bundle_out = Some(grab("--bundle-out")),
-            "--check" => check_path = Some(grab("--check")),
-            "--tolerance" => tolerance = grab("--tolerance").parse().expect("numeric --tolerance"),
-            "--help" | "-h" => {
-                eprintln!(
-                    "options: --preset quick|full --shards N --streams N --ring N \
-                     --policy block|drop-oldest --mv-channels C --jump N --seed N \
-                     --out PATH --bundle-out PATH --check BASELINE.json --tolerance F \
-                     --socket --producers N --batch N --floor-of BENCH_serve.json --floor-ratio F"
-                );
-                return;
-            }
-            other => panic!("unknown argument: {other}"),
         }
-    }
-    // The interleaved multi-channel transport requires the lossless
-    // policy: evicting individual scalar records would desynchronize
-    // frame reassembly and the run would measure a scrambled workload.
-    assert!(
-        mv_channels == 0 || matches!(policy, Backpressure::Block),
-        "--mv-channels requires --policy block (drop-oldest would evict \
-         individual channel records and desynchronize frames)"
-    );
-    // The wire protocol carries scalar f64 streams; the interleaved
-    // multivariate transport is an in-process concern.
-    assert!(
-        !socket || mv_channels == 0,
-        "--socket does not support --mv-channels (the ingestion protocol \
-         carries scalar streams)"
-    );
-    assert!(
-        !socket || producers > 0,
-        "--producers must be at least 1 in --socket mode"
-    );
-    assert!(
-        floor_of.is_none() || socket,
-        "--floor-of only applies to --socket mode (it floors the wire \
-         path against the in-process figure)"
-    );
+        // The interleaved multi-channel transport requires the lossless
+        // policy: evicting individual scalar records would desynchronize
+        // frame reassembly and the run would measure a scrambled workload.
+        // The wire protocol carries scalar f64 streams; the interleaved
+        // multivariate transport is an in-process concern.
+        let conflict = if mv_channels > 0 && policy != Backpressure::Block {
+            "--mv-channels requires --policy block (drop-oldest would evict \
+             individual channel records and desynchronize frames)"
+        } else if socket && mv_channels > 0 {
+            "--socket does not support --mv-channels (the ingestion protocol \
+             carries scalar streams)"
+        } else if socket && producers == 0 {
+            "--producers must be at least 1 in --socket mode"
+        } else if floor_of.is_some() && !socket {
+            "--floor-of only applies to --socket mode (it floors the wire \
+             path against the in-process figure)"
+        } else {
+            return Ok(());
+        };
+        Err(conflict.into())
+    });
     let out_path = out_override.unwrap_or_else(|| {
         if socket {
             "BENCH_net.json".to_string()

@@ -542,7 +542,7 @@ impl StreamingKnn {
         // the current k-th score after that. Candidates arrive in slot
         // order, so ties still go to the older slot. ---
         let k = self.cfg.k;
-        let elig_end = self.m_max - self.excl; // exclusive slot bound
+        let elig_end = self.m_max.saturating_sub(self.excl); // exclusive slot bound
         let n_elig = elig_end.saturating_sub(qstart);
         let kk = k.min(n_elig);
         let mut row_sid = [i64::MIN; MAX_K];
@@ -822,6 +822,15 @@ mod tests {
     #[test]
     fn streaming_knn_matches_naive_k1() {
         check_against_naive(260, 110, 9, 1, Similarity::Pearson, 5);
+    }
+
+    /// A width above about 0.4·d makes the exclusion radius ceil(1.5·w)
+    /// reach past every slot of the window: no subsequence has an
+    /// eligible neighbour, and the lists must stay empty.
+    #[test]
+    fn streaming_knn_matches_naive_when_exclusion_covers_the_window() {
+        check_against_naive(300, 100, 50, 3, Similarity::Pearson, 6);
+        check_against_naive(300, 16, 8, 3, Similarity::Euclidean, 7);
     }
 
     #[test]

@@ -3,13 +3,15 @@
 //! Implements the paper's evaluation protocol (§4.1): the Covering metric
 //! (Eq. 6), per-dataset rank aggregation with Friedman/Nemenyi
 //! critical-difference analysis (Figure 5), summary statistics (Table 3),
-//! a parallel experiment runner, and text renderers for every artefact.
+//! a parallel experiment runner, text renderers for every artefact, and
+//! the flag parser every binary of the workspace shares.
 
 #![warn(missing_docs)]
 
 pub mod bundle;
 pub mod covering;
 pub mod delay;
+pub mod flags;
 pub mod ranks;
 pub mod report;
 pub mod runner;
@@ -20,6 +22,7 @@ pub use bundle::{
 };
 pub use covering::{covering, segments_from_cps, Segment};
 pub use delay::{delay_stats, run_timed, DelayStats, TimedReport};
+pub use flags::{read_args, usage_exit, Flags};
 pub use ranks::{
     friedman_statistic, mean_ranks, nemenyi_cd, pairwise_wins, rank_matrix, summarize,
     wins_and_ties, Summary,

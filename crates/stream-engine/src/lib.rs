@@ -63,8 +63,8 @@ pub use fault::{
 pub use guard::{GuardAction, GuardConfig, GuardTrip, GuardVerdict, InputGuard};
 pub use latency::{LatencyHistogram, ServingStats, ShardStats, StreamStats};
 pub use metrics::{
-    render_prometheus, render_prometheus_with_net, render_stats_json, render_stats_json_with_net,
-    vm_hwm_kb, MetricsServer, SnapshotWriter,
+    render_prometheus_with_net, render_stats_json_with_net, vm_hwm_kb, MetricsServer,
+    SnapshotWriter,
 };
 pub use net::{
     AckInfo, ConnStats, ErrorCode, Frame, FrameError, IngestServer, NetClient, NetError, NetStats,

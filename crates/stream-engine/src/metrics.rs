@@ -6,11 +6,11 @@
 //! turns a [`ServingStats`] snapshot into the two formats operators
 //! actually consume:
 //!
-//! * [`render_prometheus`] — Prometheus text exposition (format 0.0.4)
+//! * [`render_prometheus_with_net`] — Prometheus text exposition (format 0.0.4)
 //!   with **stable label sets**: every per-stream series carries
 //!   `stream` (id), `shard`, and `name` labels, every per-shard series a
 //!   `shard` label, in a fixed family order so scrapes diff cleanly.
-//! * [`render_stats_json`] — a self-describing JSON document
+//! * [`render_stats_json_with_net`] — a self-describing JSON document
 //!   (`class-serving-stats/v1`) for headless runs and the
 //!   `class-cli serve-status` view.
 //! * [`MetricsServer`] — a `std::net::TcpListener` on its own thread
@@ -33,7 +33,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-/// Schema identifier stamped into every [`render_stats_json`] document.
+/// Schema identifier stamped into every [`render_stats_json_with_net`]
+/// document.
 pub const STATS_JSON_SCHEMA: &str = "class-serving-stats/v1";
 
 /// Escapes a Prometheus label value: backslash, double quote, and
@@ -103,14 +104,9 @@ fn stream_labels(s: &StreamStats) -> String {
 /// (format 0.0.4). Families appear in a fixed order; series within a
 /// family are ordered by shard index / stream id, so two renders of the
 /// same snapshot are byte-identical (pinned by a golden-fixture test).
-pub fn render_prometheus(stats: &ServingStats) -> String {
-    render_prometheus_with_net(stats, None)
-}
-
-/// [`render_prometheus`] plus the network ingestion tier's families
-/// (`class_net_*`): engine-level connection/frame totals and one series
-/// per producer connection (`conn`/`peer` labels). With `net: None` the
-/// output is byte-identical to [`render_prometheus`].
+/// `net` adds the network ingestion tier's families (`class_net_*`):
+/// engine-level connection/frame totals and one series per producer
+/// connection (`conn`/`peer` labels); `None` omits them.
 pub fn render_prometheus_with_net(stats: &ServingStats, net: Option<&NetStats>) -> String {
     let mut out = String::with_capacity(4096);
 
@@ -460,14 +456,9 @@ fn render_net_families(out: &mut String, net: &NetStats) {
 
 /// Renders a [`ServingStats`] snapshot as a `class-serving-stats/v1`
 /// JSON document — the payload behind `GET /stats.json`, the
-/// [`SnapshotWriter`] file, and `class-cli serve-status`.
-pub fn render_stats_json(stats: &ServingStats) -> String {
-    render_stats_json_with_net(stats, None)
-}
-
-/// [`render_stats_json`] plus a `"net"` object describing the network
-/// ingestion tier (additive — the schema stays `class-serving-stats/v1`
-/// and the object is simply absent when no ingest server is attached).
+/// [`SnapshotWriter`] file, and `class-cli serve-status`. `net` adds a
+/// `"net"` object describing the network ingestion tier (additive — the
+/// schema stays the same and the object is simply absent with `None`).
 pub fn render_stats_json_with_net(stats: &ServingStats, net: Option<&NetStats>) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str("{\n");
@@ -764,7 +755,7 @@ fn handle_conn(
     conn.write_all(response.as_bytes())
 }
 
-/// Periodically writes [`render_stats_json`] snapshots to a file
+/// Periodically writes [`render_stats_json_with_net`] snapshots to a file
 /// (atomically: a `.tmp` sibling renamed into place), for headless runs
 /// where no port can be opened. A final snapshot is written on [`Drop`],
 /// so the file always ends with the run's terminal stats.
@@ -830,7 +821,7 @@ fn write_snapshot(handle: &StatsHandle, path: &Path) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, render_stats_json(&handle.stats()))?;
+    std::fs::write(&tmp, render_stats_json_with_net(&handle.stats(), None))?;
     std::fs::rename(&tmp, path)
 }
 
@@ -867,7 +858,7 @@ mod tests {
 
     #[test]
     fn label_escaping_covers_quotes_backslashes_newlines() {
-        let rendered = render_prometheus(&one_stream("a \"quoted\\path\"\nline"));
+        let rendered = render_prometheus_with_net(&one_stream("a \"quoted\\path\"\nline"), None);
         assert!(
             rendered.contains(r#"name="a \"quoted\\path\"\nline""#),
             "{rendered}"
@@ -883,14 +874,14 @@ mod tests {
 
     #[test]
     fn json_escaping_keeps_document_single_value() {
-        let doc = render_stats_json(&one_stream("tab\there \"q\" \\"));
+        let doc = render_stats_json_with_net(&one_stream("tab\there \"q\" \\"), None);
         assert!(doc.contains(r#""name": "tab\there \"q\" \\""#), "{doc}");
     }
 
     #[test]
     fn counters_render_from_snapshot_fields() {
         let stats = one_stream("s");
-        let rendered = render_prometheus(&stats);
+        let rendered = render_prometheus_with_net(&stats, None);
         assert!(rendered
             .contains("class_stream_records_in_total{stream=\"0\",shard=\"0\",name=\"s\"} 10"));
         assert!(

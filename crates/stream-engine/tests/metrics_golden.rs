@@ -23,10 +23,9 @@ use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::time::Duration;
 use stream_engine::{
-    feed_all, render_prometheus, render_prometheus_with_net, render_stats_json,
-    render_stats_json_with_net, serve, ConnStats, EngineConfig, NetStats, QuarantineCause,
-    ServingStats, ShardStats, SnapshotWriter, StreamOptions, StreamState, StreamStats,
-    TumblingWindowMean,
+    feed_all, render_prometheus_with_net, render_stats_json_with_net, serve, ConnStats,
+    EngineConfig, NetStats, QuarantineCause, ServingStats, ShardStats, SnapshotWriter,
+    StreamOptions, StreamState, StreamStats, TumblingWindowMean,
 };
 
 /// A fixed, fully deterministic snapshot exercising every family the
@@ -294,7 +293,7 @@ fn every_line_is_valid_exposition_syntax() {
 #[test]
 fn counters_reconcile_with_the_snapshot() {
     let stats = fixture();
-    let out = render_prometheus(&stats);
+    let out = render_prometheus_with_net(&stats, None);
     let find = |name: &str, stream: &str| -> f64 {
         out.lines()
             .filter_map(parse_sample_line_for(name, stream))
@@ -329,16 +328,6 @@ fn counters_reconcile_with_the_snapshot() {
 fn net_families_reconcile_and_degrade_cleanly() {
     let stats = fixture();
     let net = net_fixture();
-    // Without an ingest tier both renders stay byte-identical to the
-    // plain ones — attaching the network tier is purely additive.
-    assert_eq!(
-        render_prometheus_with_net(&stats, None),
-        render_prometheus(&stats)
-    );
-    assert_eq!(
-        render_stats_json_with_net(&stats, None),
-        render_stats_json(&stats)
-    );
     let out = render_prometheus_with_net(&stats, Some(&net));
     assert!(out.contains("class_net_connections 2\n"), "{out}");
     assert!(out.contains("class_net_connections_total 3\n"), "{out}");
@@ -453,7 +442,7 @@ fn live_endpoint_serves_scrapes_that_reconcile_with_stats() {
     };
     assert_eq!(
         stable(&json_body),
-        stable(&render_stats_json(&stats)),
+        stable(&render_stats_json_with_net(&stats, None)),
         "JSON route renders the live snapshot"
     );
     let (head, _) = http_get(server.addr(), "/nope");
@@ -513,7 +502,10 @@ fn snapshot_writer_maintains_a_parseable_file_and_flushes_on_drop() {
             .collect::<Vec<_>>()
             .join("\n")
     };
-    assert_eq!(stable(&doc), stable(&render_stats_json(&handle.stats())));
+    assert_eq!(
+        stable(&doc),
+        stable(&render_stats_json_with_net(&handle.stats(), None))
+    );
     assert!(!std::path::Path::new(&format!("{}.tmp", path.display())).exists());
     std::fs::remove_file(&path).ok();
 }

@@ -41,37 +41,80 @@
 use class_core::{
     ClassConfig, ClassSegmenter, StreamingSegmenter, WidthSelection, WssMethod, MIN_WINDOW_SIZE,
 };
+use eval::Flags;
 use std::io::{BufRead, BufReader, Read, Write};
 
-struct CliArgs {
-    input: Option<String>,
+/// The segmenter flags the stdin mode and `serve` share
+/// (`--window/--width/--wss/--alpha/--jump`).
+struct SegmenterArgs {
     window: usize,
     width: Option<usize>,
     wss: WssMethod,
     alpha: f64,
-    column: usize,
-    delimiter: char,
-    format: String,
-    relearn: bool,
     jump: Option<usize>,
 }
 
-impl Default for CliArgs {
+impl Default for SegmenterArgs {
     fn default() -> Self {
         Self {
-            input: None,
             window: 10_000,
             width: None,
             wss: WssMethod::Suss,
             alpha: 1e-50,
-            column: 0,
-            delimiter: ',',
-            format: "text".into(),
-            relearn: false,
             jump: None,
         }
     }
 }
+
+impl SegmenterArgs {
+    /// Reads the value of `flag` when it is a segmenter flag; `Ok(false)`
+    /// leaves every other flag to the caller.
+    fn read(&mut self, flag: &str, flags: &mut Flags) -> Result<bool, String> {
+        match flag {
+            "--window" => self.window = flags.at_least(MIN_WINDOW_SIZE)?,
+            "--width" => self.width = Some(flags.parse()?),
+            "--wss" => {
+                self.wss = flags.one_of(&[
+                    ("suss", WssMethod::Suss),
+                    ("fft", WssMethod::FftDominant),
+                    ("acf", WssMethod::Acf),
+                    ("mwf", WssMethod::Mwf),
+                ])?
+            }
+            "--alpha" => self.alpha = parse_alpha(flags)?,
+            "--jump" => self.jump = Some(flags.at_least(1)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The segmenter configuration the flags describe.
+    fn config(&self) -> ClassConfig {
+        let mut cfg = ClassConfig::with_window_size(self.window);
+        cfg.width = match self.width {
+            Some(w) => WidthSelection::Fixed(w),
+            None => WidthSelection::Learn(self.wss),
+        };
+        cfg.log10_alpha = self.alpha.log10();
+        if let Some(j) = self.jump {
+            cfg.jump = j;
+        }
+        cfg
+    }
+}
+
+#[derive(Default)]
+struct CliArgs {
+    input: Option<String>,
+    segmenter: SegmenterArgs,
+    column: usize,
+    delimiter: char,
+    tsv: bool,
+    relearn: bool,
+}
+
+/// The `--format` names: text or tab-separated output.
+const FORMATS: [(&str, bool); 2] = [("text", false), ("tsv", true)];
 
 const USAGE: &str = "\
 class-cli — streaming time series segmentation (ClaSS, VLDB 2024)
@@ -188,72 +231,51 @@ SERVE-STATUS (read a serving engine's stats from either source):
         error, 3 the engine reports quarantined streams.
 ";
 
+/// Reports a usage error followed by the help text; exits with status 2.
+fn usage_error(e: &str) -> ! {
+    eval::usage_exit(&format!("{e}\n\n{USAGE}"))
+}
+
 fn parse_args(rest: &[String]) -> Result<CliArgs, String> {
-    let mut args = CliArgs::default();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let mut grab = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
+    let mut args = CliArgs {
+        delimiter: ',',
+        ..CliArgs::default()
+    };
+    let mut flags = Flags::new(rest.iter().cloned());
+    while let Some(arg) = flags.next() {
+        if args.segmenter.read(&arg, &mut flags)? {
+            continue;
+        }
         match arg.as_str() {
-            "--input" => args.input = Some(grab("--input")?),
-            "--window" => args.window = parse_window(&grab("--window")?)?,
-            "--width" => {
-                args.width = Some(grab("--width")?.parse().map_err(|_| "numeric --width")?)
-            }
-            "--wss" => {
-                args.wss = match grab("--wss")?.as_str() {
-                    "suss" => WssMethod::Suss,
-                    "fft" => WssMethod::FftDominant,
-                    "acf" => WssMethod::Acf,
-                    "mwf" => WssMethod::Mwf,
-                    other => return Err(format!("unknown WSS method {other}")),
-                }
-            }
-            "--alpha" => args.alpha = parse_alpha(&grab("--alpha")?)?,
-            "--column" => {
-                args.column = grab("--column")?.parse().map_err(|_| "numeric --column")?
-            }
-            "--delimiter" => args.delimiter = grab("--delimiter")?.chars().next().unwrap_or(','),
-            "--format" => args.format = grab("--format")?,
+            "--input" => args.input = Some(flags.value()?),
+            "--column" => args.column = flags.parse()?,
+            "--delimiter" => args.delimiter = parse_delimiter(&mut flags)?,
+            "--format" => args.tsv = flags.one_of(&FORMATS)?,
             "--relearn" => args.relearn = true,
-            "--jump" => {
-                let j: usize = grab("--jump")?.parse().map_err(|_| "numeric --jump")?;
-                if j == 0 {
-                    return Err("--jump must be at least 1".into());
-                }
-                args.jump = Some(j);
-            }
             "--help" | "-h" => {
                 // A reader that stops early (`| head`) is not an error.
                 let _ = std::io::stdout().write_all(USAGE.as_bytes());
                 std::process::exit(0);
             }
-            other => return Err(format!("unknown argument {other}")),
+            _ => return Err(flags.unknown()),
         }
     }
     Ok(args)
 }
 
-/// Parses a `--window` value: a whole number no smaller than the
-/// segmenter's minimum window.
-fn parse_window(v: &str) -> Result<usize, String> {
-    let d: usize = v.parse().map_err(|_| "numeric --window")?;
-    if d < MIN_WINDOW_SIZE {
-        return Err(format!("--window must be at least {MIN_WINDOW_SIZE}"));
-    }
-    Ok(d)
+/// Reads an `--alpha` significance level, which must lie in (0, 1].
+fn parse_alpha(flags: &mut Flags) -> Result<f64, String> {
+    flags.parse_where("in (0, 1]", |a: &f64| *a > 0.0 && *a <= 1.0)
 }
 
-/// Parses an `--alpha` significance level, which must lie in (0, 1].
-fn parse_alpha(v: &str) -> Result<f64, String> {
-    let a: f64 = v.parse().map_err(|_| "numeric --alpha")?;
-    if !(a > 0.0 && a <= 1.0) {
-        return Err(format!("--alpha must be in (0, 1], got {v}"));
+/// Reads a `--delimiter`, which must be exactly one character.
+fn parse_delimiter(flags: &mut Flags) -> Result<char, String> {
+    let v = flags.value()?;
+    let mut chars = v.chars();
+    match (chars.next(), chars.next()) {
+        (Some(c), None) => Ok(c),
+        _ => Err(format!("--delimiter must be one character, got {v:?}")),
     }
-    Ok(a)
 }
 
 /// Exit status after a failed stdout write: a reader that closed the
@@ -273,8 +295,10 @@ fn write_failure_code(e: &std::io::Error) -> i32 {
 // ---------------------------------------------------------------------------
 
 /// How `datasets run` fuses per-channel votes on multi-channel files.
+#[derive(Default)]
 enum FusionChoice {
     /// Majority quorum (the multivariate default).
+    #[default]
     Quorum,
     /// Union of every channel's change points.
     Any,
@@ -282,6 +306,7 @@ enum FusionChoice {
     Votes(usize),
 }
 
+#[derive(Default)]
 struct DatasetsRunArgs {
     files: Vec<String>,
     window: Option<usize>,
@@ -300,76 +325,61 @@ struct DatasetsRunArgs {
 }
 
 impl DatasetsRunArgs {
-    /// The serving engine's per-stream guard from the `--guard-*` flags
-    /// (`None` when neither flag is given: values pass verbatim).
-    fn stream_guard(&self) -> Option<stream_engine::GuardConfig> {
-        if self.guard_nan_burst.is_none() && self.guard_flatline.is_none() {
-            return None;
+    /// The segmenter configuration for one file of `n_points` points
+    /// annotated with subsequence width `width`: the window defaults to
+    /// the whole file (at most 10k points), the width to the annotated
+    /// one.
+    fn config(&self, n_points: usize, width: usize) -> ClassConfig {
+        let window = self.window.unwrap_or_else(|| n_points.min(10_000));
+        let mut cfg = ClassConfig::with_window_size(window);
+        cfg.width = WidthSelection::Fixed(self.width.unwrap_or(width));
+        cfg.log10_alpha = self.alpha.log10();
+        if let Some(j) = self.jump {
+            cfg.jump = j;
         }
-        Some(stream_engine::GuardConfig::new(
-            self.guard_nan_burst.unwrap_or(0),
-            self.guard_flatline.unwrap_or(0),
-        ))
+        cfg
     }
 
-    /// The per-channel guard multivariate files run with.
-    fn channel_guard(&self) -> Option<class_core::ChannelGuardConfig> {
-        if self.guard_nan_burst.is_none() && self.guard_flatline.is_none() {
-            return None;
-        }
-        Some(class_core::ChannelGuardConfig::new(
-            self.guard_nan_burst.unwrap_or(0),
-            self.guard_flatline.unwrap_or(0),
-        ))
+    /// The `--guard-*` limits `(nan_burst, flatline)`, 0 disabling either;
+    /// `None` when neither flag is given (values pass verbatim). Streams
+    /// and the channels of multivariate files are guarded alike.
+    fn guard_limits(&self) -> Option<(usize, usize)> {
+        let (nan_burst, flatline) = (self.guard_nan_burst, self.guard_flatline);
+        (nan_burst.is_some() || flatline.is_some())
+            .then(|| (nan_burst.unwrap_or(0), flatline.unwrap_or(0)))
     }
 }
 
 /// Exit code for a run in which at least one stream was quarantined.
 const EXIT_QUARANTINED: i32 = 3;
 
-fn datasets_main(args: Vec<String>) -> ! {
-    let code = match args.first().map(String::as_str) {
+fn datasets_main(args: &[String]) -> i32 {
+    match args.first().map(String::as_str) {
         Some("list") => datasets_list(&args[1..]),
         Some("run") => datasets_run(&args[1..]),
-        other => {
-            eprintln!(
-                "error: expected `datasets list` or `datasets run`, got {:?}\n\n{USAGE}",
-                other.unwrap_or("")
-            );
-            2
+        other => usage_error(&format!(
+            "expected `datasets list` or `datasets run`, got {:?}",
+            other.unwrap_or("")
+        )),
+    }
+}
+
+fn parse_list_args(rest: &[String]) -> Result<(Option<datasets::DataDir>, bool), String> {
+    let mut data_dir = datasets::DataDir::from_env();
+    let mut tsv = false;
+    let mut flags = Flags::new(rest.iter().cloned());
+    while let Some(arg) = flags.next() {
+        match arg.as_str() {
+            "--data-dir" => data_dir = Some(datasets::DataDir::open(flags.value()?)),
+            "--format" => tsv = flags.one_of(&FORMATS)?,
+            _ => return Err(flags.unknown()),
         }
-    };
-    std::process::exit(code);
+    }
+    Ok((data_dir, tsv))
 }
 
 fn datasets_list(rest: &[String]) -> i32 {
-    let mut data_dir = datasets::DataDir::from_env();
-    let mut tsv = false;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--data-dir" => match it.next() {
-                Some(p) => data_dir = Some(datasets::DataDir::open(p)),
-                None => {
-                    eprintln!("error: --data-dir requires a value");
-                    return 2;
-                }
-            },
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => tsv = false,
-                Some("tsv") => tsv = true,
-                other => {
-                    eprintln!("error: --format must be text or tsv, got {other:?}");
-                    return 2;
-                }
-            },
-            other => {
-                eprintln!("error: unknown argument {other}");
-                return 2;
-            }
-        }
-    }
-
+    let (data_dir, tsv) = parse_list_args(rest).unwrap_or_else(|e| usage_error(&e));
     match list_datasets(data_dir.as_ref(), tsv, &mut std::io::stdout().lock()) {
         Ok(()) => 0,
         Err(e) => write_failure_code(&e),
@@ -509,93 +519,41 @@ fn list_tree(
 
 fn parse_datasets_run_args(rest: &[String]) -> Result<DatasetsRunArgs, String> {
     let mut out = DatasetsRunArgs {
-        files: Vec::new(),
-        window: None,
-        width: None,
         alpha: 1e-15,
-        rate: None,
-        tsv: false,
-        channels: None,
-        fusion: FusionChoice::Quorum,
-        extract_channels: false,
-        jump: None,
-        guard_nan_burst: None,
-        guard_flatline: None,
-        metrics_addr: None,
-        bundle_out: None,
+        ..DatasetsRunArgs::default()
     };
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let mut grab = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
+    let mut flags = Flags::new(rest.iter().cloned());
+    while let Some(arg) = flags.next() {
         match arg.as_str() {
-            "--window" => out.window = Some(parse_window(&grab("--window")?)?),
-            "--width" => out.width = Some(grab("--width")?.parse().map_err(|_| "numeric --width")?),
-            "--alpha" => out.alpha = parse_alpha(&grab("--alpha")?)?,
+            "--window" => out.window = Some(flags.at_least(MIN_WINDOW_SIZE)?),
+            "--width" => out.width = Some(flags.parse()?),
+            "--alpha" => out.alpha = parse_alpha(&mut flags)?,
             "--rate" => {
-                let rate: f64 = grab("--rate")?.parse().map_err(|_| "numeric --rate")?;
-                if !(rate > 0.0 && rate.is_finite()) {
-                    return Err(format!("--rate must be a positive number, got {rate}"));
-                }
-                out.rate = Some(rate);
+                out.rate = Some(
+                    flags.parse_where("a positive number", |r: &f64| *r > 0.0 && r.is_finite())?,
+                )
             }
-            "--format" => out.tsv = grab("--format")? == "tsv",
-            "--jump" => {
-                let j: usize = grab("--jump")?.parse().map_err(|_| "numeric --jump")?;
-                if j == 0 {
-                    return Err("--jump must be at least 1".into());
-                }
-                out.jump = Some(j);
-            }
-            "--channels" => {
-                let k: usize = grab("--channels")?
-                    .parse()
-                    .map_err(|_| "numeric --channels")?;
-                if k == 0 {
-                    return Err("--channels must keep at least one channel".into());
-                }
-                out.channels = Some(k);
-            }
-            "--guard-nan-burst" => {
-                let n: usize = grab("--guard-nan-burst")?
-                    .parse()
-                    .map_err(|_| "numeric --guard-nan-burst")?;
-                if n == 0 {
-                    return Err("--guard-nan-burst must be at least 1".into());
-                }
-                out.guard_nan_burst = Some(n);
-            }
-            "--guard-flatline" => {
-                let n: usize = grab("--guard-flatline")?
-                    .parse()
-                    .map_err(|_| "numeric --guard-flatline")?;
-                if n == 0 {
-                    return Err("--guard-flatline must be at least 1".into());
-                }
-                out.guard_flatline = Some(n);
-            }
+            "--format" => out.tsv = flags.one_of(&FORMATS)?,
+            "--jump" => out.jump = Some(flags.at_least(1)?),
+            "--channels" => out.channels = Some(flags.at_least(1)?),
+            "--guard-nan-burst" => out.guard_nan_burst = Some(flags.at_least(1)?),
+            "--guard-flatline" => out.guard_flatline = Some(flags.at_least(1)?),
             "--extract-channels" => out.extract_channels = true,
-            "--metrics-addr" => out.metrics_addr = Some(grab("--metrics-addr")?),
-            "--bundle-out" => out.bundle_out = Some(grab("--bundle-out")?),
+            "--metrics-addr" => out.metrics_addr = Some(flags.value()?),
+            "--bundle-out" => out.bundle_out = Some(flags.value()?),
             "--fusion" => {
-                let v = grab("--fusion")?;
-                out.fusion = match v.as_str() {
-                    "quorum" => FusionChoice::Quorum,
-                    "any" => FusionChoice::Any,
-                    other => match other.parse::<usize>() {
-                        Ok(k) if k >= 1 => FusionChoice::Votes(k),
-                        _ => {
-                            return Err(format!(
-                            "--fusion must be quorum, any, or a positive vote count, got {other}"
-                        ))
-                        }
-                    },
+                let v = flags.value()?;
+                out.fusion = match (v.as_str(), v.parse::<usize>()) {
+                    ("quorum", _) => FusionChoice::Quorum,
+                    ("any", _) => FusionChoice::Any,
+                    (_, Ok(k)) if k >= 1 => FusionChoice::Votes(k),
+                    _ => {
+                        let want = "quorum, any, or a positive vote count";
+                        return Err(format!("--fusion must be {want}, got {v}"));
+                    }
                 };
             }
-            flag if flag.starts_with("--") => return Err(format!("unknown argument {flag}")),
+            flag if flag.starts_with("--") => return Err(flags.unknown()),
             file => out.files.push(file.to_string()),
         }
     }
@@ -771,13 +729,7 @@ fn replay_univariate_series(
     metrics: Option<&stream_engine::MetricsServer>,
     tally: &mut RunTally,
 ) -> std::io::Result<i32> {
-    let mut cfg =
-        ClassConfig::with_window_size(args.window.unwrap_or_else(|| series.len().min(10_000)));
-    cfg.width = WidthSelection::Fixed(args.width.unwrap_or(series.width));
-    cfg.log10_alpha = args.alpha.log10();
-    if let Some(j) = args.jump {
-        cfg.jump = j;
-    }
+    let cfg = args.config(series.len(), series.width);
 
     // Replay the loaded series through the serving engine — unpaced
     // like the paper's §4.4 RAM-resident streams, or at --rate
@@ -789,7 +741,9 @@ fn replay_univariate_series(
     }
     let started = std::time::Instant::now();
     let retry = stream_engine::RetryPolicy::default();
-    let guard = args.stream_guard();
+    let guard = args
+        .guard_limits()
+        .map(|(n, f)| stream_engine::GuardConfig::new(n, f));
     let stream_name = series.name.clone();
     let (mut results, fed) = stream_engine::serve(stream_engine::EngineConfig::new(1), |engine| {
         if let Some(m) = metrics {
@@ -870,13 +824,8 @@ fn run_multivariate_file(
     };
     let n = series.len();
     let n_channels = series.n_channels();
-    let window = args.window.unwrap_or_else(|| n.min(10_000));
-    let mut base = ClassConfig::with_window_size(window);
-    base.width = WidthSelection::Fixed(args.width.unwrap_or(series.width));
-    base.log10_alpha = args.alpha.log10();
-    if let Some(j) = args.jump {
-        base.jump = j;
-    }
+    let base = args.config(n, series.width);
+    let window = base.window_size;
     let mut cfg = MultivariateConfig::new(base, n_channels);
     // Overrides keep the default config's clustering tolerance, so
     // `--fusion N` with the default quorum count behaves identically to
@@ -933,7 +882,9 @@ fn run_multivariate_file(
     // Per-channel degraded-input policy: a tripped channel is retired
     // inside the fused segmenter (votes re-quorumed) instead of taking
     // the whole stream down.
-    cfg.channel_guard = args.channel_guard();
+    cfg.channel_guard = args
+        .guard_limits()
+        .map(|(n, f)| class_core::ChannelGuardConfig::new(n, f));
 
     let mut source = stream_engine::MultiChannelReplaySource::new(series.channels.clone());
     if let Some(rate) = args.rate {
@@ -1054,13 +1005,7 @@ fn score_files(
 }
 
 fn datasets_run(rest: &[String]) -> i32 {
-    let args = match parse_datasets_run_args(rest) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return 2;
-        }
-    };
+    let args = parse_datasets_run_args(rest).unwrap_or_else(|e| usage_error(&e));
     let metrics = match &args.metrics_addr {
         Some(addr) => match stream_engine::MetricsServer::bind(addr) {
             Ok(server) => {
@@ -1150,43 +1095,27 @@ fn http_get_stats_json(addr: &str) -> Result<String, String> {
     Ok(body.to_string())
 }
 
+/// `serve-status` flags: `(--addr, --snapshot, tsv output)`.
+fn parse_status_args(rest: &[String]) -> Result<(Option<String>, Option<String>, bool), String> {
+    let mut addr = None;
+    let mut snapshot = None;
+    let mut tsv = false;
+    let mut flags = Flags::new(rest.iter().cloned());
+    while let Some(arg) = flags.next() {
+        match arg.as_str() {
+            "--addr" => addr = Some(flags.value()?),
+            "--snapshot" => snapshot = Some(flags.value()?),
+            "--format" => tsv = flags.one_of(&FORMATS)?,
+            _ => return Err(flags.unknown()),
+        }
+    }
+    Ok((addr, snapshot, tsv))
+}
+
 /// `class-cli serve-status`: read a `class-serving-stats/v1` document
 /// from a live endpoint or a snapshot file and summarise engine health.
 fn serve_status(rest: &[String]) -> i32 {
-    let mut addr: Option<String> = None;
-    let mut snapshot: Option<String> = None;
-    let mut tsv = false;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => match it.next() {
-                Some(a) => addr = Some(a.clone()),
-                None => {
-                    eprintln!("error: --addr requires HOST:PORT");
-                    return 2;
-                }
-            },
-            "--snapshot" => match it.next() {
-                Some(p) => snapshot = Some(p.clone()),
-                None => {
-                    eprintln!("error: --snapshot requires a path");
-                    return 2;
-                }
-            },
-            "--format" => match it.next().map(String::as_str) {
-                Some("tsv") => tsv = true,
-                Some("text") => tsv = false,
-                other => {
-                    eprintln!("error: --format must be text or tsv, got {other:?}");
-                    return 2;
-                }
-            },
-            other => {
-                eprintln!("error: unknown argument {other}\n\n{USAGE}");
-                return 2;
-            }
-        }
-    }
+    let (addr, snapshot, tsv) = parse_status_args(rest).unwrap_or_else(|e| usage_error(&e));
     let (source, doc) = match (&addr, &snapshot) {
         (Some(a), None) => match http_get_stats_json(a) {
             Ok(d) => (format!("http://{a}/stats.json"), d),
@@ -1202,10 +1131,7 @@ fn serve_status(rest: &[String]) -> i32 {
                 return 1;
             }
         },
-        _ => {
-            eprintln!("error: serve-status needs exactly one of --addr or --snapshot\n\n{USAGE}");
-            return 2;
-        }
+        _ => usage_error("serve-status needs exactly one of --addr or --snapshot"),
     };
     let json = match eval::parse_json(&doc) {
         Ok(j) => j,
@@ -1369,26 +1295,18 @@ fn num(obj: &eval::Json, key: &str) -> f64 {
 // `serve` / `feed` — the TCP ingestion tier from the command line
 // ---------------------------------------------------------------------------
 
-/// Parses a `--policy` value into a ring backpressure policy.
-fn parse_policy(v: &str) -> Result<stream_engine::Backpressure, String> {
-    match v {
-        "block" => Ok(stream_engine::Backpressure::Block),
-        "drop-oldest" => Ok(stream_engine::Backpressure::DropOldest),
-        "error" => Ok(stream_engine::Backpressure::Error),
-        other => Err(format!(
-            "--policy must be block, drop-oldest or error, got {other}"
-        )),
-    }
-}
+/// The `--policy` names: a ring's backpressure policy.
+const POLICIES: [(&str, stream_engine::Backpressure); 3] = [
+    ("block", stream_engine::Backpressure::Block),
+    ("drop-oldest", stream_engine::Backpressure::DropOldest),
+    ("error", stream_engine::Backpressure::Error),
+];
 
+#[derive(Default)]
 struct ServeArgs {
     listen: String,
     shards: usize,
-    window: usize,
-    width: Option<usize>,
-    wss: WssMethod,
-    alpha: f64,
-    jump: Option<usize>,
+    segmenter: SegmenterArgs,
     ring: usize,
     policy: stream_engine::Backpressure,
     metrics_addr: Option<String>,
@@ -1397,74 +1315,29 @@ struct ServeArgs {
 
 fn parse_serve_args(rest: &[String]) -> Result<ServeArgs, String> {
     let mut out = ServeArgs {
-        listen: String::new(),
         shards: 2,
-        window: 10_000,
-        width: None,
-        wss: WssMethod::Suss,
-        alpha: 1e-50,
-        jump: None,
         ring: stream_engine::RingConfig::default().capacity,
-        policy: stream_engine::Backpressure::Block,
-        metrics_addr: None,
-        idle_exit: None,
+        ..ServeArgs::default()
     };
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let mut grab = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
+    let mut flags = Flags::new(rest.iter().cloned());
+    while let Some(arg) = flags.next() {
+        if out.segmenter.read(&arg, &mut flags)? {
+            continue;
+        }
         match arg.as_str() {
-            "--listen" => out.listen = grab("--listen")?,
-            "--shards" => {
-                let s: usize = grab("--shards")?.parse().map_err(|_| "numeric --shards")?;
-                if s == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-                out.shards = s;
-            }
-            "--window" => out.window = parse_window(&grab("--window")?)?,
-            "--width" => out.width = Some(grab("--width")?.parse().map_err(|_| "numeric --width")?),
-            "--wss" => {
-                out.wss = match grab("--wss")?.as_str() {
-                    "suss" => WssMethod::Suss,
-                    "fft" => WssMethod::FftDominant,
-                    "acf" => WssMethod::Acf,
-                    "mwf" => WssMethod::Mwf,
-                    other => return Err(format!("unknown WSS method {other}")),
-                }
-            }
-            "--alpha" => out.alpha = parse_alpha(&grab("--alpha")?)?,
-            "--jump" => {
-                let j: usize = grab("--jump")?.parse().map_err(|_| "numeric --jump")?;
-                if j == 0 {
-                    return Err("--jump must be at least 1".into());
-                }
-                out.jump = Some(j);
-            }
-            "--ring" => {
-                let c: usize = grab("--ring")?.parse().map_err(|_| "numeric --ring")?;
-                if c == 0 {
-                    return Err("--ring must hold at least one record".into());
-                }
-                out.ring = c;
-            }
-            "--policy" => out.policy = parse_policy(&grab("--policy")?)?,
-            "--metrics-addr" => out.metrics_addr = Some(grab("--metrics-addr")?),
+            "--listen" => out.listen = flags.value()?,
+            "--shards" => out.shards = flags.at_least(1)?,
+            "--ring" => out.ring = flags.at_least(1)?,
+            "--policy" => out.policy = flags.one_of(&POLICIES)?,
+            "--metrics-addr" => out.metrics_addr = Some(flags.value()?),
             "--idle-exit" => {
-                let s: f64 = grab("--idle-exit")?
-                    .parse()
-                    .map_err(|_| "numeric --idle-exit")?;
-                if !(s > 0.0 && s.is_finite()) {
-                    return Err(format!(
-                        "--idle-exit must be a positive number of seconds, got {s}"
-                    ));
-                }
-                out.idle_exit = Some(s);
+                out.idle_exit = Some(
+                    flags.parse_where("a positive number of seconds", |s: &f64| {
+                        *s > 0.0 && s.is_finite()
+                    })?,
+                )
             }
-            other => return Err(format!("unknown argument {other}")),
+            _ => return Err(flags.unknown()),
         }
     }
     if out.listen.is_empty() {
@@ -1476,23 +1349,8 @@ fn parse_serve_args(rest: &[String]) -> Result<ServeArgs, String> {
 /// `class-cli serve`: bind a TCP ingestion server on a live serving
 /// engine and step wire-registered ClaSS streams until idle (or forever).
 fn serve_cmd(rest: &[String]) -> i32 {
-    let args = match parse_serve_args(rest) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return 2;
-        }
-    };
-    let mut cfg = ClassConfig::with_window_size(args.window);
-    cfg.width = match args.width {
-        Some(w) => WidthSelection::Fixed(w),
-        None => WidthSelection::Learn(args.wss),
-    };
-    cfg.log10_alpha = args.alpha.log10();
-    if let Some(j) = args.jump {
-        cfg.jump = j;
-    }
-
+    let args = parse_serve_args(rest).unwrap_or_else(|e| usage_error(&e));
+    let cfg = args.segmenter.config();
     let engine_cfg = stream_engine::EngineConfig {
         shards: args.shards,
         ring: stream_engine::RingConfig::new(args.ring, args.policy),
@@ -1608,6 +1466,7 @@ fn print_served(
     Ok(code)
 }
 
+#[derive(Default)]
 struct FeedArgs {
     connect: String,
     batch: usize,
@@ -1620,41 +1479,20 @@ struct FeedArgs {
 
 fn parse_feed_args(rest: &[String]) -> Result<FeedArgs, String> {
     let mut out = FeedArgs {
-        connect: String::new(),
         batch: 512,
-        column: 0,
         delimiter: ',',
-        ring: None,
-        policy: None,
-        files: Vec::new(),
+        ..FeedArgs::default()
     };
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let mut grab = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
+    let mut flags = Flags::new(rest.iter().cloned());
+    while let Some(arg) = flags.next() {
         match arg.as_str() {
-            "--connect" => out.connect = grab("--connect")?,
-            "--batch" => {
-                let b: usize = grab("--batch")?.parse().map_err(|_| "numeric --batch")?;
-                if b == 0 {
-                    return Err("--batch must send at least one record per frame".into());
-                }
-                out.batch = b;
-            }
-            "--column" => out.column = grab("--column")?.parse().map_err(|_| "numeric --column")?,
-            "--delimiter" => out.delimiter = grab("--delimiter")?.chars().next().unwrap_or(','),
-            "--ring" => {
-                let c: usize = grab("--ring")?.parse().map_err(|_| "numeric --ring")?;
-                if c == 0 {
-                    return Err("--ring must hold at least one record".into());
-                }
-                out.ring = Some(c);
-            }
-            "--policy" => out.policy = Some(parse_policy(&grab("--policy")?)?),
-            flag if flag.starts_with("--") => return Err(format!("unknown argument {flag}")),
+            "--connect" => out.connect = flags.value()?,
+            "--batch" => out.batch = flags.at_least(1)?,
+            "--column" => out.column = flags.parse()?,
+            "--delimiter" => out.delimiter = parse_delimiter(&mut flags)?,
+            "--ring" => out.ring = Some(flags.at_least(1)?),
+            "--policy" => out.policy = Some(flags.one_of(&POLICIES)?),
+            flag if flag.starts_with("--") => return Err(flags.unknown()),
             file => out.files.push(file.to_string()),
         }
     }
@@ -1688,13 +1526,7 @@ fn read_values(path: &str, column: usize, delimiter: char) -> Result<Vec<f64>, S
 /// `class-cli feed`: stream local files to a running `serve` instance,
 /// one wire stream per file, stop-and-wait batches.
 fn feed_cmd(rest: &[String]) -> i32 {
-    let args = match parse_feed_args(rest) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return 2;
-        }
-    };
+    let args = parse_feed_args(rest).unwrap_or_else(|e| usage_error(&e));
     // A requested ring only travels on REGISTER when either knob is
     // given; otherwise capacity 0 asks for the server's default.
     let req_ring = match (args.ring, args.policy) {
@@ -1784,27 +1616,20 @@ fn fmt_cps(cps: &[u64]) -> String {
 }
 
 fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.first().map(String::as_str) == Some("datasets") {
-        raw.remove(0);
-        datasets_main(raw);
-    }
-    if raw.first().map(String::as_str) == Some("serve-status") {
-        std::process::exit(serve_status(&raw[1..]));
-    }
-    if raw.first().map(String::as_str) == Some("serve") {
-        std::process::exit(serve_cmd(&raw[1..]));
-    }
-    if raw.first().map(String::as_str) == Some("feed") {
-        std::process::exit(feed_cmd(&raw[1..]));
-    }
-    let args = match parse_args(&raw) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            std::process::exit(2);
-        }
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let code = match raw.first().map(String::as_str) {
+        Some("datasets") => datasets_main(&raw[1..]),
+        Some("serve-status") => serve_status(&raw[1..]),
+        Some("serve") => serve_cmd(&raw[1..]),
+        Some("feed") => feed_cmd(&raw[1..]),
+        _ => segment_main(&raw),
     };
+    std::process::exit(code);
+}
+
+/// The stdin mode: segment a stdin or `--input` feed.
+fn segment_main(raw: &[String]) -> i32 {
+    let args = parse_args(raw).unwrap_or_else(|e| usage_error(&e));
     let reader: Box<dyn Read> = match &args.input {
         Some(path) => Box::new(std::fs::File::open(path).unwrap_or_else(|e| {
             eprintln!("error: cannot open {path}: {e}");
@@ -1812,8 +1637,9 @@ fn main() {
         })),
         None => Box::new(std::io::stdin()),
     };
-    if let Err(e) = segment_feed(&args, BufReader::new(reader), &mut std::io::stdout().lock()) {
-        std::process::exit(write_failure_code(&e));
+    match segment_feed(&args, BufReader::new(reader), &mut std::io::stdout().lock()) {
+        Ok(()) => 0,
+        Err(e) => write_failure_code(&e),
     }
 }
 
@@ -1821,19 +1647,11 @@ fn main() {
 /// to `out` as they are detected. Only write failures are returned; a
 /// read failure exits with status 1.
 fn segment_feed(args: &CliArgs, reader: impl BufRead, out: &mut impl Write) -> std::io::Result<()> {
-    let mut cfg = ClassConfig::with_window_size(args.window);
-    cfg.width = match args.width {
-        Some(w) => WidthSelection::Fixed(w),
-        None => WidthSelection::Learn(args.wss),
-    };
-    cfg.log10_alpha = args.alpha.log10();
+    let mut cfg = args.segmenter.config();
     cfg.relearn_width = args.relearn;
-    if let Some(j) = args.jump {
-        cfg.jump = j;
-    }
     let mut class = ClassSegmenter::new(cfg);
 
-    let tsv = args.format == "tsv";
+    let tsv = args.tsv;
     if tsv {
         writeln!(out, "detected_at\tchange_point")?;
     }

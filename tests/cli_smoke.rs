@@ -32,12 +32,16 @@ fn run_cli(args: &[&str], input: &str) -> (String, String, i32) {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn class-cli");
-    child
+    // A usage error can end the CLI before it reads its input; the pipe
+    // it closed is then expected, and the exit status tells the story.
+    if let Err(e) = child
         .stdin
         .take()
         .expect("stdin piped")
         .write_all(input.as_bytes())
-        .expect("write stdin");
+    {
+        assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "write stdin: {e}");
+    }
     let out = child.wait_with_output().expect("wait for class-cli");
     (
         String::from_utf8(out.stdout).expect("utf8 stdout"),
@@ -208,6 +212,34 @@ fn help_exits_cleanly_and_unknown_flags_do_not() {
     let (_, stderr, code) = run_cli(&["--no-such-flag"], "");
     assert_eq!(code, 2);
     assert!(stderr.contains("unknown argument"));
+
+    // Values once misread silently are rejected: `'\t'` typed literally
+    // is two characters, and its first would skip every line.
+    let feed = ["feed", "--connect", "127.0.0.1:1", "f.txt"];
+    let (format, delimiter) = (
+        "--format must be text or tsv, got tvs",
+        "--delimiter must be one character",
+    );
+    let cases: [(&[&str], &str); 6] = [
+        (&["--format", "tvs"], format),
+        (&["datasets", "run", "f.txt", "--format", "tvs"], format),
+        (&["--delimiter", "\\t"], delimiter),
+        (&["--delimiter", ""], delimiter),
+        (&[&feed[..], &["--delimiter", "\\t"]].concat(), delimiter),
+        (&[&feed[..], &["--delimiter", ""]].concat(), delimiter),
+    ];
+    for (args, want) in cases {
+        let (stdout, stderr, code) = run_cli(args, "");
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        assert!(
+            stderr.contains(&format!("error: {want}")),
+            "{args:?}: {stderr}"
+        );
+    }
+    let (stdout, stderr, code) = run_cli(&["--delimiter", "\t", "--column", "1"], "a\t1\n");
+    assert_eq!(code, 0, "a real tab is one character: {stderr}");
+    assert!(stdout.contains("processed 1 observations"), "{stdout}");
 }
 
 #[test]
@@ -313,11 +345,14 @@ fn closed_stdout_ends_the_run_cleanly() {
     let snapshot = dir.join("stats.json");
     std::fs::write(
         &snapshot,
-        stream_engine::render_stats_json(&stream_engine::ServingStats {
-            streams: Vec::new(),
-            shards: Vec::new(),
-            uptime: std::time::Duration::from_secs(1),
-        }),
+        stream_engine::render_stats_json_with_net(
+            &stream_engine::ServingStats {
+                streams: Vec::new(),
+                shards: Vec::new(),
+                uptime: std::time::Duration::from_secs(1),
+            },
+            None,
+        ),
     )
     .unwrap();
     let snapshot = snapshot.display().to_string();
@@ -847,6 +882,23 @@ fn datasets_run_quarantines_a_flatlined_stream_with_exit_code_3() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A fixed width above about 0.4·d leaves every subsequence without an
+/// eligible neighbour, which the k-NN index must not underflow on.
+#[test]
+fn widths_near_half_the_window_run_without_panicking() {
+    let file = fixture("TSSB/SineFreqDouble_50_900.txt");
+    let cases: [&[&str]; 2] = [
+        &["--window", "100", "--width", "50", "--input", &file],
+        &["datasets", "run", &file, "--window", "100"],
+    ];
+    for args in cases {
+        let (stdout, stderr, code) = run_cli(args, "");
+        assert_eq!(code, 0, "{args:?}: {stdout}\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("quarantined"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn datasets_run_guard_flags_validate_their_values() {
     for flag in ["--guard-nan-burst", "--guard-flatline"] {
@@ -921,7 +973,7 @@ fn serve_status_reads_a_live_metrics_endpoint() {
 fn serve_status_falls_back_to_a_snapshot_file_and_flags_quarantines() {
     use std::time::Duration;
     use stream_engine::{
-        render_stats_json, QuarantineCause, ServingStats, StreamState, StreamStats,
+        render_stats_json_with_net, QuarantineCause, ServingStats, StreamState, StreamStats,
     };
     let mk = |stream: usize, state: StreamState, done: bool| StreamStats {
         stream,
@@ -967,7 +1019,7 @@ fn serve_status_falls_back_to_a_snapshot_file_and_flags_quarantines() {
     std::fs::create_dir_all(&dir).unwrap();
 
     let ok_path = dir.join("healthy.json");
-    std::fs::write(&ok_path, render_stats_json(&healthy)).unwrap();
+    std::fs::write(&ok_path, render_stats_json_with_net(&healthy, None)).unwrap();
     let (stdout, stderr, code) = run_cli(
         &["serve-status", "--snapshot", &ok_path.display().to_string()],
         "",
@@ -976,7 +1028,7 @@ fn serve_status_falls_back_to_a_snapshot_file_and_flags_quarantines() {
     assert!(stdout.contains("records in:   900"), "{stdout}");
 
     let bad_path = dir.join("degraded.json");
-    std::fs::write(&bad_path, render_stats_json(&degraded)).unwrap();
+    std::fs::write(&bad_path, render_stats_json_with_net(&degraded, None)).unwrap();
     let (stdout, stderr, code) = run_cli(
         &[
             "serve-status",
